@@ -32,18 +32,16 @@ func main() {
 		perf       = flag.String("perf", "", "run the fast-path perf suite and write the JSON report to this path")
 		batch      = flag.String("batch", "", "run the batch-search coalescing scenario and write the JSON report to this path")
 		slab       = flag.String("slab", "", "run the slab-vs-map Phase-2 scenario and write the JSON report to this path")
-		shards     = flag.String("shards", "", "run the shard-scaling scenario and write the JSON report to this path")
 		adaptive   = flag.String("adaptive", "", "run the static-vs-adaptive-τ drift scenario and write the JSON report to this path")
-		ingest     = flag.String("ingest", "", "run the mixed read/write live-ingest scenario and write the JSON report to this path")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to this path")
 	)
 	flag.Parse()
 
-	os.Exit(run(*exp, *all, *list, *scale, *out, *dir, *perf, *batch, *slab, *shards, *adaptive, *ingest, *cpuprofile, *memprofile))
+	os.Exit(run(*exp, *all, *list, *scale, *out, *dir, *perf, *batch, *slab, *adaptive, *cpuprofile, *memprofile))
 }
 
-func run(exp string, all, list bool, scale, out, dir, perf, batch, slab, shards, adaptive, ingest, cpuprofile, memprofile string) int {
+func run(exp string, all, list bool, scale, out, dir, perf, batch, slab, adaptive, cpuprofile, memprofile string) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "ebc-bench:", err)
 		return 1
@@ -114,18 +112,14 @@ func run(exp string, all, list bool, scale, out, dir, perf, batch, slab, shards,
 		_, err = bench.RunBatch(w, env, batch)
 	case slab != "":
 		_, err = bench.RunSlab(w, env, slab)
-	case shards != "":
-		_, err = bench.RunShards(w, env, shards)
 	case adaptive != "":
 		_, err = bench.RunAdaptive(w, env, adaptive)
-	case ingest != "":
-		_, err = bench.RunIngest(w, env, ingest)
 	case all:
 		err = bench.RunAll(w, env)
 	case exp != "":
 		err = bench.Run(w, env, exp)
 	default:
-		fmt.Fprintln(os.Stderr, "ebc-bench: pass -exp <id>, -all, -perf <path>, -batch <path>, -slab <path>, -shards <path>, -adaptive <path>, -ingest <path>, or -list")
+		fmt.Fprintln(os.Stderr, "ebc-bench: pass -exp <id>, -all, -perf <path>, -batch <path>, -slab <path>, -adaptive <path>, or -list (shard scaling and live ingest are benchmark/ workloads: bash benchmark/run.sh)")
 		return 2
 	}
 	if err != nil {

@@ -106,11 +106,23 @@ func main() {
 			MaxBackoff: 100 * *ioRetryBackoff,
 		}
 	}
-	if *degradedOK && *shards <= 1 {
-		log.Printf("ebc-serve: -degraded-ok has no effect without -shards > 1")
+	// Mode selection is a straight line: live (a WAL directory) implies
+	// maintained, maintained serves through the maintainer over -shards units,
+	// and anything else is a static engine (flat or sharded). Warnings are
+	// derived from the mode actually in effect.
+	live := *walDir != ""
+	maintained := *maintain || live
+	if live && !*maintain {
+		log.Printf("ebc-serve: -wal-dir implies -maintain (writes are served over the maintainer)")
 	}
-	if *adaptiveTau && !*maintain {
+	if live && *shards > 1 {
+		log.Printf("ebc-serve: sharded live ingest serves writes and merged searches, but background compaction is disabled (restart recovery folds the WAL instead)")
+	}
+	if *adaptiveTau && !maintained {
 		log.Printf("ebc-serve: -adaptive-tau has no effect without -maintain")
+	}
+	if *degradedOK && *shards <= 1 && !maintained {
+		log.Printf("ebc-serve: -degraded-ok has no effect on a static unsharded engine")
 	}
 	sopt := exploitbit.ServeOptions{MaxK: *maxK, MaxInFlight: *maxInFlight, MaxBatch: *maxBatch}
 	mopt := exploitbit.MaintainOptions{
@@ -118,25 +130,22 @@ func main() {
 		RetuneThreshold: *retuneThreshold,
 		RetuneWindows:   *retuneWindows,
 	}
+	cfg := core.Config{Method: exploitbit.Method(*method), CacheBytes: cs, SmoothEps: 0.01}
 
-	var handler http.Handler
-	var drainMaintainer func() // set when a maintainer needs closing after drain
-	var tau int
-	if *walDir != "" {
-		// Live ingest: recover the WAL, open over the folded dataset, serve
-		// writes alongside merged searches.
+	var (
+		sys     *exploitbit.System
+		sharded *exploitbit.Sharded // the serving router, nil on a static flat engine
+		handler http.Handler
+		drain   func() // closes what must outlive the listener's drain
+	)
+	if live {
 		fsync, err := exploitbit.ParseFsyncMode(*walFsync)
 		if err != nil {
 			log.Fatal("ebc-serve: bad -wal-fsync: ", err)
 		}
-		if *shards > 1 {
-			log.Printf("ebc-serve: sharded live ingest serves writes and merged searches, but background compaction is disabled (restart recovery folds the WAL instead)")
-		} else if !*maintain {
-			log.Printf("ebc-serve: -wal-dir implies -maintain (compaction folds the delta through the maintainer's background rebuild)")
-		}
 		log.Printf("ebc-serve: dataset %q (%d x %d-d); recovering WAL %q, building index and profiling %d workload queries…",
 			ds.Name, ds.Len(), ds.Dim, *walDir, len(wl))
-		cfg := core.Config{Method: exploitbit.Method(*method), CacheBytes: cs, SmoothEps: 0.01}
+		// Tau 0: OpenLive tunes the code length over the folded dataset.
 		ls, err := exploitbit.OpenLive(ds, wl, opt, cfg, mopt, exploitbit.LiveOptions{
 			WalDir:           *walDir,
 			Fsync:            fsync,
@@ -145,58 +154,47 @@ func main() {
 		if err != nil {
 			log.Fatal("ebc-serve: ", err)
 		}
-		ls.Sys.SetRetry(rp)
 		if rec := ls.Recovery; rec.Records > 0 || rec.CheckpointPoints > 0 {
 			log.Printf("ebc-serve: recovered %d checkpoint points + %d WAL records (%d tombstones, %d bytes torn tail truncated)",
 				rec.CheckpointPoints, rec.Records, len(rec.Tombs), rec.TruncatedBytes)
 		}
-		if ls.ShardedMaintainer != nil {
-			ls.ShardedMaintainer.Sharded().SetDegradedOK(*degradedOK)
-		}
-		drainMaintainer = func() { ls.Close() }
+		sys, sharded, cfg.Tau = ls.Sys, ls.Maintainer.Sharded(), ls.Maintainer.Stats().Tau
+		drain = func() { ls.Close() }
 		handler = exploitbit.ServeLive(ls, sopt)
 	} else {
 		log.Printf("ebc-serve: dataset %q (%d x %d-d); building index and profiling %d workload queries…",
 			ds.Name, ds.Len(), ds.Dim, len(wl))
-		sys, err := exploitbit.Open(ds, wl, opt)
-		if err != nil {
+		var err error
+		if sys, err = exploitbit.Open(ds, wl, opt); err != nil {
 			log.Fatal("ebc-serve: ", err)
 		}
-		defer sys.Close()
-		sys.SetRetry(rp)
-
-		tau = sys.OptimalTau(cs)
-		cfg := core.Config{Method: exploitbit.Method(*method), CacheBytes: cs, Tau: tau, SmoothEps: 0.01}
+		drain = func() { sys.Close() }
+		cfg.Tau = sys.OptimalTau(cs)
 		switch {
-		case *shards > 1 && *maintain:
-			m, err := sys.MaintainedSharded(cfg, mopt)
-			if err != nil {
-				log.Fatal("ebc-serve: ", err)
-			}
-			m.Sharded().SetDegradedOK(*degradedOK)
-			drainMaintainer = m.Close
-			handler = exploitbit.ServeShardedMaintainedWith(m, ds.Dim, sopt)
-		case *shards > 1:
-			se, err := sys.ShardedEngineWith(cfg)
-			if err != nil {
-				log.Fatal("ebc-serve: ", err)
-			}
-			se.SetDegradedOK(*degradedOK)
-			handler = exploitbit.ServeShardedWith(se, ds.Dim, sopt)
-		case *maintain:
+		case maintained:
 			m, err := sys.Maintained(cfg, mopt)
 			if err != nil {
 				log.Fatal("ebc-serve: ", err)
 			}
-			drainMaintainer = m.Close
-			handler = exploitbit.ServeMaintainedWith(m, ds.Dim, sopt)
+			sharded = m.Sharded()
+			drain = func() { m.Close(); sys.Close() }
+			handler = exploitbit.ServeMaintained(m, sopt)
+		case *shards > 1:
+			if sharded, err = sys.ShardedEngineWith(cfg); err != nil {
+				log.Fatal("ebc-serve: ", err)
+			}
+			handler = exploitbit.ServeSharded(sharded, sopt)
 		default:
-			eng, err := sys.Engine(exploitbit.Method(*method), cs, tau)
+			eng, err := sys.EngineWith(cfg)
 			if err != nil {
 				log.Fatal("ebc-serve: ", err)
 			}
-			handler = exploitbit.ServeWith(eng, ds.Dim, sopt)
+			handler = exploitbit.Serve(eng, sopt)
 		}
+	}
+	sys.SetRetry(rp)
+	if sharded != nil {
+		sharded.SetDegradedOK(*degradedOK)
 	}
 
 	srv := &http.Server{
@@ -230,13 +228,14 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	if *walDir != "" {
-		log.Printf("ebc-serve: %s cache, %s budget, %d shard(s), live ingest on %q; listening on %s (max %d in-flight requests)",
-			*method, *cacheSz, *shards, *walDir, *addr, *maxInFlight)
-	} else {
-		log.Printf("ebc-serve: %s cache, %s budget, tau=%d, %d shard(s); listening on %s (max %d in-flight searches)",
-			*method, *cacheSz, tau, *shards, *addr, *maxInFlight)
+	mode := "static"
+	if live {
+		mode = fmt.Sprintf("live ingest on %q", *walDir)
+	} else if maintained {
+		mode = "maintained"
 	}
+	log.Printf("ebc-serve: %s cache, %s budget, tau=%d, %d shard(s), %s; listening on %s (max %d in-flight requests)",
+		*method, *cacheSz, cfg.Tau, *shards, mode, *addr, *maxInFlight)
 
 	select {
 	case err := <-errc:
@@ -253,11 +252,9 @@ func main() {
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("ebc-serve: serve: %v", err)
 		}
-		if drainMaintainer != nil {
-			// After the listener has drained: no new searches can arrive, so
-			// no new rebuild can launch, and Close waits out any in flight.
-			drainMaintainer()
-		}
+		// After the listener has drained: no new searches can arrive, so no
+		// new rebuild can launch, and Close waits out any in flight.
+		drain()
 		log.Printf("ebc-serve: drained; exiting")
 	}
 }

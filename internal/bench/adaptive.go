@@ -140,7 +140,7 @@ func RunAdaptive(w io.Writer, env *Env, jsonPath string) (*AdaptiveReport, error
 	for static.Stats().RebuildInFlight {
 		time.Sleep(time.Millisecond)
 	}
-	if err := static.ForceRebuild(k); err != nil {
+	if err := static.ForceShardRebuild(0); err != nil {
 		return nil, err
 	}
 

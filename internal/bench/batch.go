@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -107,7 +108,7 @@ func RunBatch(w io.Writer, env *Env, jsonPath string) (*BatchReport, error) {
 		row.SoloWallNs = time.Since(t0).Nanoseconds()
 
 		t1 := time.Now()
-		gotIDs, sts, err := eng.SearchBatch(batch, k)
+		gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
 		if err != nil {
 			return nil, err
 		}

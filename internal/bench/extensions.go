@@ -109,11 +109,11 @@ func extMaintain(w io.Writer, env *Env) error {
 	}
 	tw := table(w)
 	fmt.Fprintln(tw, "phase\thit_ratio\trebuilds")
-	fmt.Fprintf(tw, "trained workload\t%.3f\t%d\n", run(lab.WL, 128), m.Rebuilds())
+	fmt.Fprintf(tw, "trained workload\t%.3f\t%d\n", run(lab.WL, 128), m.Stats().Rebuilds)
 	driftRatio := run(drifted, 400)
 	waitIdle()
-	fmt.Fprintf(tw, "after drift\t%.3f\t%d\n", driftRatio, m.Rebuilds())
-	fmt.Fprintf(tw, "post-rebuild\t%.3f\t%d\n", run(drifted, 128), m.Rebuilds())
+	fmt.Fprintf(tw, "after drift\t%.3f\t%d\n", driftRatio, m.Stats().Rebuilds)
+	fmt.Fprintf(tw, "post-rebuild\t%.3f\t%d\n", run(drifted, 128), m.Stats().Rebuilds)
 	st := m.Stats()
 	fmt.Fprintf(tw, "# rebuilds: %d completed, %d failed (searches never block on a rebuild)\n", st.Rebuilds, st.RebuildErrors)
 	fmt.Fprintln(tw, "# expected shape: hit ratio collapses under drift, a rebuild fires, and the ratio recovers")

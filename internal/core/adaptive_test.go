@@ -1,16 +1,9 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
-
-	"exploitbit/internal/dataset"
-	"exploitbit/internal/disk"
-	"exploitbit/internal/shard"
 )
 
 // The adaptive-τ suite. Every test here matches `-run Adaptive`, which is the
@@ -31,289 +24,263 @@ func adaptiveCfg(budget int64) Config {
 // steady — and the serving τ already the model's recommendation — the
 // adaptive maintainer must behave bit-identically to a plain engine built
 // from the same profile: same ids, same per-query stats (including
-// PageReads), zero retunes, zero rebuilds. The evaluation goroutine only ever
-// re-profiles windows; it never touches the serving path.
+// PageReads), zero retunes, zero rebuilds. The evaluation goroutines only ever
+// re-profile windows; they never touch the serving path. Units split the
+// budget in proportion to their points, so each sees the probe's physics at
+// the same total.
 func TestAdaptiveNoDriftBitIdentical(t *testing.T) {
-	ds, pf, cands, poolA, _ := driftWorld(t)
-	const k = 5
-	cfg := adaptiveCfg(4 << 10)
-	m, err := NewMaintainer(pf, ds, cands, poolA, k, cfg, MaintainOptions{
-		WindowSize: 64, AdaptiveTau: true, RetuneWindows: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewEngine(pf, BuildProfile(ds, cands, poolA, k), cands, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i := 0; i < 256; i++ {
-		q := poolA[i%len(poolA)]
-		gotIDs, gotSt, err := m.Search(q, k)
+	forShards(t, func(t *testing.T, n int) {
+		ds, pf, cands, poolA, _ := driftWorld(t)
+		const k = 5
+		cfg := adaptiveCfg(4 << 10)
+		m, _ := newTestMaintainer(t, ds, pf, cands, n, poolA, k, cfg, MaintainOptions{
+			WindowSize: 64, AdaptiveTau: true, RetuneWindows: 2,
+		})
+		ref, err := NewEngine(pf, BuildProfile(ds, cands, poolA, k), cands, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantIDs, wantSt, err := ref.SearchCtx(context.Background(), q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameIDs(gotIDs, wantIDs) {
-			t.Fatalf("q%d: ids %v != %v", i, gotIDs, wantIDs)
-		}
-		if d := diffStats(wantSt, gotSt); d != "" {
-			t.Fatalf("q%d: stats diverged: %s", i, d)
-		}
-	}
-	m.Close() // waits out any in-flight window evaluation
 
-	st := m.Stats()
-	if st.Retunes != 0 {
-		t.Fatalf("steady workload retuned %d times", st.Retunes)
-	}
-	if st.Rebuilds != 0 {
-		t.Fatalf("steady workload rebuilt %d times", st.Rebuilds)
-	}
-	if st.Tau != cfg.Tau {
-		t.Fatalf("τ moved to %d on a steady workload", st.Tau)
-	}
-	cm, ok := m.CostModel()
-	if !ok {
-		t.Fatal("adaptive maintainer reports no cost model")
-	}
-	if cm.Windows < 1 {
-		t.Fatal("watchdog never evaluated a window")
-	}
-	if cm.Retunes != 0 || cm.PendingWindows != 0 {
-		t.Fatalf("watchdog accumulated evidence on a steady workload: %+v", cm)
-	}
-	if cm.ObservedRhoHit <= 0 || cm.ObservedRhoHit > 1 {
-		t.Fatalf("observed ρ_hit out of range: %v", cm.ObservedRhoHit)
-	}
-}
-
-// TestAdaptiveRetuneOnDriftLowersPageReads is the acceptance path: the hot
-// set collapses onto a few pool-B queries, the watchdog sees the model
-// recommend a larger τ with a big predicted C_refine cut, a retune rebuild
-// lands — and the retuned engine measures strictly fewer PageReads on the hot
-// set than a static-τ maintainer given the same traffic (and an equally fresh
-// cache, so τ is the only difference).
-func TestAdaptiveRetuneOnDriftLowersPageReads(t *testing.T) {
-	ds, pf, cands, poolA, poolB := driftWorld(t)
-	const k = 5
-	cfg := adaptiveCfg(8 << 10)
-	opt := MaintainOptions{WindowSize: 16, MinQueriesBetweenRebuilds: 16, RetuneWindows: 2}
-	aopt := opt
-	aopt.AdaptiveTau = true
-
-	adaptive, err := NewMaintainer(pf, ds, cands, poolA, k, cfg, aopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adaptive.Close()
-	static, err := NewMaintainer(pf, ds, cands, poolA, k, cfg, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer static.Close()
-
-	feed := func(m *Maintainer, pool [][]float32, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if _, _, err := m.Search(pool[i%len(pool)], k); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Phase A: the trained workload, both engines healthy at τ=5.
-	feed(adaptive, poolA, 64)
-	feed(static, poolA, 64)
-
-	// Phase B: the hot set concentrates on 8 pool-B queries. Keep feeding the
-	// adaptive engine until the watchdog's retune rebuild lands (the ordinary
-	// drift rebuild fires first and composes with it — it keeps τ=5, then the
-	// watchdog sees the refreshed cache still lose to τ=8 on the hot set).
-	hot := poolB[:8]
-	deadline := time.Now().Add(60 * time.Second)
-	for adaptive.Stats().Retunes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never retuned; stats %+v", adaptive.Stats())
-		}
-		feed(adaptive, hot, 16)
-	}
-	waitRebuildIdle(t, adaptive)
-	ast := adaptive.Stats()
-	if ast.Retunes < 1 {
-		t.Fatalf("Retunes = %d after retune observed", ast.Retunes)
-	}
-	if ast.Tau <= cfg.Tau {
-		t.Fatalf("retune kept τ at %d (started at %d, hot set wants more bits)", ast.Tau, cfg.Tau)
-	}
-	cm, ok := adaptive.CostModel()
-	if !ok || cm.Retunes < 1 {
-		t.Fatalf("cost-model telemetry missed the retune: %+v", cm)
-	}
-	if cm.Tau != ast.Tau {
-		t.Fatalf("monitor τ %d != serving τ %d", cm.Tau, ast.Tau)
-	}
-
-	// Give the static maintainer the same hot traffic, then force a rebuild
-	// from its (pure hot-set) window so its cache content is just as fresh as
-	// the adaptive engine's — only τ differs.
-	feed(static, hot, 200)
-	waitRebuildIdle(t, static)
-	if err := static.ForceRebuild(k); err != nil {
-		t.Fatal(err)
-	}
-	if sst := static.Stats(); sst.Tau != cfg.Tau {
-		t.Fatalf("static maintainer moved τ to %d", sst.Tau)
-	}
-
-	// Measure PageReads engine-to-engine (not through the maintainers, so the
-	// measurement itself cannot trigger rebuilds mid-pass).
-	measure := func(e *Engine) int64 {
-		t.Helper()
-		var total int64
-		for i := 0; i < 64; i++ {
-			_, st, err := e.SearchCtx(context.Background(), hot[i%len(hot)], k)
+		for i := 0; i < 256; i++ {
+			q := poolA[i%len(poolA)]
+			gotIDs, gotSt, err := m.Search(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += st.PageReads
+			wantIDs, wantSt, err := ref.Search(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameIDs(gotIDs, wantIDs) {
+				t.Fatalf("q%d: ids %v != %v", i, gotIDs, wantIDs)
+			}
+			if d := diffStats(wantSt, gotSt); d != "" {
+				t.Fatalf("q%d: stats diverged: %s", i, d)
+			}
 		}
-		return total
-	}
-	adReads := measure(adaptive.Engine())
-	stReads := measure(static.Engine())
-	if adReads >= stReads {
-		t.Fatalf("adaptive engine reads %d pages, static %d — retune did not pay", adReads, stReads)
-	}
-	t.Logf("hot-set PageReads over 64 queries: adaptive(τ=%d) %d vs static(τ=%d) %d",
-		ast.Tau, adReads, cfg.Tau, stReads)
+		m.Close() // waits out any in-flight window evaluation
+
+		st := m.Stats()
+		if st.Retunes != 0 {
+			t.Fatalf("steady workload retuned %d times", st.Retunes)
+		}
+		if st.Rebuilds != 0 {
+			t.Fatalf("steady workload rebuilt %d times", st.Rebuilds)
+		}
+		if st.Tau != cfg.Tau {
+			t.Fatalf("τ moved to %d on a steady workload", st.Tau)
+		}
+		for s, cm := range m.CostModels() {
+			if cm == nil {
+				t.Fatalf("adaptive slot %d reports no cost model", s)
+			}
+			if cm.Windows < 1 {
+				t.Fatalf("slot %d's watchdog never evaluated a window", s)
+			}
+			if cm.Retunes != 0 || cm.PendingWindows != 0 {
+				t.Fatalf("slot %d's watchdog accumulated evidence on a steady workload: %+v", s, cm)
+			}
+			if cm.ObservedRhoHit <= 0 || cm.ObservedRhoHit > 1 {
+				t.Fatalf("slot %d: observed ρ_hit out of range: %v", s, cm.ObservedRhoHit)
+			}
+		}
+	})
 }
 
-// driftShardSpecs shards the drift world's dataset round-robin and
-// materializes one point file per shard.
-func driftShardSpecs(t testing.TB, ds *dataset.Dataset, n int) ([]ShardSpec, []int32, []int32) {
-	t.Helper()
-	p, err := shard.Build(ds, n, shard.RoundRobin, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	specs := make([]ShardSpec, 0, p.N)
-	for s := 0; s < p.N; s++ {
-		sds := p.SubDataset(ds, s)
-		pf, err := disk.BuildPointFile(filepath.Join(dir, fmt.Sprintf("pf%d", s)), sds, nil, 4096, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { pf.Close() })
-		specs = append(specs, ShardSpec{PF: pf, DS: sds, GlobalIDs: p.Shards[s]})
-	}
-	return specs, p.Owner, p.Local
-}
+// TestAdaptiveRetuneOnDriftLowersPageReads is the acceptance path: the hot
+// set collapses onto a few pool-B queries, the watchdogs see the model
+// recommend a larger τ with a big predicted C_refine cut, retune rebuilds
+// land — and the retuned maintainer measures strictly fewer PageReads on the
+// hot set than a static-τ maintainer given the same traffic (and equally
+// fresh caches, so τ is the only difference).
+func TestAdaptiveRetuneOnDriftLowersPageReads(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		ds, pf, cands, poolA, poolB := driftWorld(t)
+		const k = 5
+		cfg := adaptiveCfg(8 << 10)
+		opt := MaintainOptions{WindowSize: 16, MinQueriesBetweenRebuilds: 16, RetuneWindows: 2}
+		aopt := opt
+		aopt.AdaptiveTau = true
 
-// TestAdaptiveShardedRetuneQuarantineRace is the race-focus composition test:
-// per-shard watchdogs retune independently under concurrent search load, and
-// a mid-run permanent storage failure on one shard (degraded-mode serving)
-// quarantines, rebuilds and returns it to service — all three rebuild
-// triggers (drift, retune, quarantine) share the per-shard RCU machinery and
-// must compose without races or lost shards.
-func TestAdaptiveShardedRetuneQuarantineRace(t *testing.T) {
-	ds, _, cands, poolA, poolB := driftWorld(t)
-	const k = 5
-	const nShards = 2
-	specs, owner, local := driftShardSpecs(t, ds, nShards)
-	prof := BuildProfile(ds, cands, poolA, k)
-	// 16 KiB total → 8 KiB per shard: each shard sees the probe's retune
-	// physics on its half of the candidates.
-	m, err := NewShardedMaintainer(specs, owner, local, prof, cands, k,
-		adaptiveCfg(16<<10), MaintainOptions{
-			WindowSize: 16, MinQueriesBetweenRebuilds: 16,
-			AdaptiveTau: true, RetuneWindows: 2,
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Sharded().SetDegradedOK(true)
+		adaptive, _ := newTestMaintainer(t, ds, pf, cands, n, poolA, k, cfg, aopt)
+		defer adaptive.Close()
+		static, _ := newTestMaintainer(t, ds, pf, cands, n, poolA, k, cfg, opt)
+		defer static.Close()
 
-	hot := poolB[:8]
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, _, err := m.SearchCtx(context.Background(), hot[(g+i)%len(hot)], k); err != nil {
-					t.Errorf("search: %v", err)
-					return
+		// Phase A: the trained workload, both maintainers healthy at τ=5.
+		seedWindows(t, adaptive, poolA, 64, k)
+		seedWindows(t, static, poolA, 64, k)
+
+		// Phase B: the hot set concentrates on 8 pool-B queries. Keep feeding
+		// the adaptive maintainer until every slot's retune rebuild has landed
+		// (the ordinary drift rebuild fires first and composes with it — it
+		// keeps τ=5, then the watchdog sees the refreshed cache still lose to
+		// τ=8 on the hot set).
+		hot := poolB[:8]
+		retunedEverywhere := func() bool {
+			for _, ss := range adaptive.ShardStats() {
+				if ss.Retunes == 0 {
+					return false
 				}
 			}
-		}(g)
-	}
+			return true
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for !retunedEverywhere() {
+			if time.Now().After(deadline) {
+				t.Fatalf("a watchdog never retuned; stats %+v", adaptive.ShardStats())
+			}
+			seedWindows(t, adaptive, hot, 16, k)
+		}
+		waitRebuildIdle(t, adaptive)
+		for s, ss := range adaptive.ShardStats() {
+			if ss.Tau <= cfg.Tau {
+				t.Fatalf("slot %d: retune kept τ at %d (started at %d, hot set wants more bits)", s, ss.Tau, cfg.Tau)
+			}
+			cm := adaptive.CostModels()[s]
+			if cm == nil || cm.Retunes < 1 {
+				t.Fatalf("slot %d: cost-model telemetry missed the retune: %+v", s, cm)
+			}
+			if cm.Tau != ss.Tau {
+				t.Fatalf("slot %d: monitor τ %d != serving τ %d", s, cm.Tau, ss.Tau)
+			}
+		}
 
-	// Wait for at least one shard's watchdog to retune under load.
-	deadline := time.Now().Add(60 * time.Second)
-	for m.Stats().Retunes == 0 {
-		if time.Now().After(deadline) {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("no shard ever retuned; stats %+v", m.Stats())
+		// Give the static maintainer the same hot traffic, then force a rebuild
+		// of every slot from its (pure hot-set) window so its caches are just
+		// as fresh as the adaptive maintainer's — only τ differs.
+		seedWindows(t, static, hot, 200, k)
+		waitRebuildIdle(t, static)
+		for s := 0; s < n; s++ {
+			if err := static.ForceShardRebuild(s); err != nil {
+				t.Fatal(err)
+			}
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		if sst := static.Stats(); sst.Tau != cfg.Tau {
+			t.Fatalf("static maintainer moved τ to %d", sst.Tau)
+		}
 
-	// Now break shard storage while searches and retunes are in flight; the
-	// shard must quarantine, then recover once the device is repaired.
-	const bad = 1
-	failAllReads(specs[bad].PF)
-	time.Sleep(20 * time.Millisecond)
-	specs[bad].PF.SetFaults(nil)
-	recovered := time.Now().Add(30 * time.Second)
-	for m.Sharded().Quarantined(bad) {
-		if time.Now().After(recovered) {
-			close(stop)
-			wg.Wait()
-			t.Fatal("quarantined shard never recovered")
+		// Measure PageReads router-to-router (not through the maintainers, so
+		// the measurement itself cannot trigger rebuilds mid-pass).
+		measure := func(se *ShardedEngine) int64 {
+			t.Helper()
+			var total int64
+			for i := 0; i < 64; i++ {
+				_, st, err := se.Search(hot[i%len(hot)], k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += st.PageReads
+			}
+			return total
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		adReads := measure(adaptive.Sharded())
+		stReads := measure(static.Sharded())
+		if adReads >= stReads {
+			t.Fatalf("adaptive maintainer reads %d pages, static %d — retune did not pay", adReads, stReads)
+		}
+		t.Logf("hot-set PageReads over 64 queries: adaptive %d vs static(τ=%d) %d", adReads, cfg.Tau, stReads)
+	})
+}
 
-	close(stop)
-	wg.Wait()
-	m.Close()
+// TestAdaptiveRetuneQuarantineRace is the race-focus composition test:
+// per-slot watchdogs retune independently under concurrent search load, and a
+// mid-run permanent storage failure on one unit (degraded-mode serving)
+// quarantines, rebuilds and returns it to service — all three rebuild
+// triggers (drift, retune, quarantine) share the per-slot RCU machinery and
+// must compose without races or lost units. For N = 1 the failed unit is the
+// whole dataset: queries come back empty and flagged until it recovers.
+func TestAdaptiveRetuneQuarantineRace(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		ds, pf, cands, poolA, poolB := driftWorld(t)
+		const k = 5
+		m, specs := newTestMaintainer(t, ds, pf, cands, n, poolA, k,
+			adaptiveCfg(8<<10), MaintainOptions{
+				WindowSize: 16, MinQueriesBetweenRebuilds: 16,
+				AdaptiveTau: true, RetuneWindows: 2,
+			})
+		m.Sharded().SetDegradedOK(true)
 
-	st := m.Stats()
-	if st.Retunes < 1 {
-		t.Fatalf("Retunes = %d after retune observed", st.Retunes)
-	}
-	// Per-shard telemetry: every adaptive shard exposes a monitor snapshot,
-	// and retune counts agree between MaintainStats and the monitors.
-	var monRetunes int64
-	for s, cm := range m.CostModels() {
-		if cm == nil {
-			t.Fatalf("shard %d has no cost model", s)
+		hot := poolB[:8]
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, _, err := m.Search(hot[(g+i)%len(hot)], k); err != nil {
+						t.Errorf("search: %v", err)
+						return
+					}
+				}
+			}(g)
 		}
-		monRetunes += cm.Retunes
-		if cm.Tau != m.ShardStats()[s].Tau {
-			t.Fatalf("shard %d: monitor τ %d != serving τ %d", s, cm.Tau, m.ShardStats()[s].Tau)
+
+		// Wait for at least one slot's watchdog to retune under load.
+		deadline := time.Now().Add(60 * time.Second)
+		for m.Stats().Retunes == 0 {
+			if time.Now().After(deadline) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("no slot ever retuned; stats %+v", m.Stats())
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-	}
-	if int(monRetunes) != st.Retunes {
-		t.Fatalf("monitors count %d retunes, stats %d", monRetunes, st.Retunes)
-	}
-	// The recovered shard still answers.
-	for i := 0; i < 8; i++ {
-		if _, _, err := m.SearchCtx(context.Background(), hot[i%len(hot)], k); err != nil {
-			t.Fatalf("post-recovery search: %v", err)
+
+		// Now break one unit's storage while searches and retunes are in
+		// flight; it must quarantine, then recover once the device is repaired.
+		bad := n - 1
+		failAllReads(specs[bad].PF)
+		time.Sleep(20 * time.Millisecond)
+		specs[bad].PF.SetFaults(nil)
+		recovered := time.Now().Add(30 * time.Second)
+		for m.Sharded().Quarantined(bad) {
+			if time.Now().After(recovered) {
+				close(stop)
+				wg.Wait()
+				t.Fatal("quarantined unit never recovered")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-	}
+
+		close(stop)
+		wg.Wait()
+		m.Close()
+
+		st := m.Stats()
+		if st.Retunes < 1 {
+			t.Fatalf("Retunes = %d after retune observed", st.Retunes)
+		}
+		// Per-slot telemetry: every adaptive slot exposes a monitor snapshot,
+		// and retune counts agree between MaintainStats and the monitors.
+		var monRetunes int64
+		for s, cm := range m.CostModels() {
+			if cm == nil {
+				t.Fatalf("slot %d has no cost model", s)
+			}
+			monRetunes += cm.Retunes
+			if cm.Tau != m.ShardStats()[s].Tau {
+				t.Fatalf("slot %d: monitor τ %d != serving τ %d", s, cm.Tau, m.ShardStats()[s].Tau)
+			}
+		}
+		if int(monRetunes) != st.Retunes {
+			t.Fatalf("monitors count %d retunes, stats %d", monRetunes, st.Retunes)
+		}
+		// The recovered unit still answers.
+		for i := 0; i < 8; i++ {
+			ids, qst, err := m.Search(hot[i%len(hot)], k)
+			if err != nil {
+				t.Fatalf("post-recovery search: %v", err)
+			}
+			if qst.Degraded || len(ids) != k {
+				t.Fatalf("post-recovery search: %d ids, degraded=%v", len(ids), qst.Degraded)
+			}
+		}
+	})
 }

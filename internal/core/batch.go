@@ -27,19 +27,13 @@ import (
 	"exploitbit/internal/multistep"
 )
 
-// SearchBatch runs Algorithm 1 for a batch of queries with cross-query
-// coalesced refinement. See SearchBatchCtx.
-func (e *Engine) SearchBatch(qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return e.SearchBatchCtx(context.Background(), qs, k)
-}
-
-// SearchBatchCtx searches every query of qs for its k nearest, reading each
-// data-file page at most once across the whole batch during refinement.
-// Results and statistics are positional (results[i] answers qs[i]); each
-// query's result identifiers match a standalone SearchCtx of the same query.
-// A canceled ctx abandons the batch at the next check point — between
-// scoring strides, before refinement, and before every page read.
-func (e *Engine) SearchBatchCtx(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
+// SearchBatch runs Algorithm 1 for every query of qs with cross-query
+// coalesced refinement: each data-file page is read at most once across the
+// whole batch. Results and statistics are positional (results[i] answers
+// qs[i]); each query's result identifiers match a standalone SearchCtx of the
+// same query. A canceled ctx abandons the batch at the next check point —
+// between scoring strides, before refinement, and before every page read.
+func (e *Engine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
 	}
@@ -232,36 +226,6 @@ func (e *TreeEngine) SearchBatchCtx(ctx context.Context, qs [][]float32, k int) 
 		st.SimulatedIO = time.Duration(st.PageReads) * e.store.Tio()
 		e.agg.Add(*st)
 		sts[j] = *st
-	}
-	return results, sts, nil
-}
-
-// SearchBatch is the maintained batch search. See the Maintainer
-// SearchBatchCtx.
-func (m *Maintainer) SearchBatch(qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return m.SearchBatchCtx(context.Background(), qs, k)
-}
-
-// SearchBatchCtx runs the batch through the current engine and folds every
-// served query into the drift window, launching a background rebuild when
-// the window trips — the same maintenance semantics as per-query SearchCtx,
-// applied per batch member.
-func (m *Maintainer) SearchBatchCtx(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	results, sts, err := m.eng.Load().SearchBatchCtx(ctx, qs, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, q := range qs {
-		// launchRebuild is CAS-guarded, so repeated triggers within one batch
-		// start at most one rebuild (and launchEvaluate at most one window
-		// evaluation).
-		sig := m.recordQuery(q, sts[i])
-		if sig.rebuildWL != nil {
-			m.launchRebuild(sig.rebuildWL, k, m.curTau(), false)
-		}
-		if sig.evalWL != nil {
-			m.launchEvaluate(sig.obsHit, sig.obsRefine, sig.evalWL, k)
-		}
 	}
 	return results, sts, nil
 }

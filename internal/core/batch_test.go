@@ -40,7 +40,7 @@ func TestSearchBatchCoalescesAndMatchesPerQuery(t *testing.T) {
 	soloIDs := make([][]int, len(batch))
 	var soloReads int64
 	for j, q := range batch {
-		ids, st, err := eng.SearchCtx(context.Background(), q, k)
+		ids, st, err := eng.SearchCtx(context.Background(), q, k, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestSearchBatchCoalescesAndMatchesPerQuery(t *testing.T) {
 		soloReads += st.PageReads
 	}
 
-	gotIDs, sts, err := eng.SearchBatchCtx(context.Background(), batch, k)
+	gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,14 @@ func TestSearchBatchMatchesPerQueryCachedMethods(t *testing.T) {
 			soloIDs := make([][]int, len(batch))
 			var soloReads int64
 			for j, q := range batch {
-				ids, st, err := eng.SearchCtx(context.Background(), q, k)
+				ids, st, err := eng.SearchCtx(context.Background(), q, k, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				soloIDs[j] = ids
 				soloReads += st.PageReads
 			}
-			gotIDs, sts, err := eng.SearchBatchCtx(context.Background(), batch, k)
+			gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,41 +182,40 @@ func TestTreeSearchBatchCoalescesAndMatchesPerQuery(t *testing.T) {
 	}
 }
 
-// TestMaintainerSearchBatch smoke-tests the maintained path: batch answers
-// match the underlying engine and every query is folded into the drift
-// window.
+// TestMaintainerSearchBatch: the maintained batch answers match per-query
+// searches through the same router, and every member is folded into the
+// drift windows of the slots that served it.
 func TestMaintainerSearchBatch(t *testing.T) {
-	w := buildWorld(t, 1000, 10, 34)
-	m, err := NewMaintainer(w.pf, w.ds, candFunc(w.ix), w.wl, 10, Config{
-		Method: HCO, CacheBytes: 64 << 10, Tau: 6,
-	}, MaintainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	forShards(t, func(t *testing.T, n int) {
+		w := buildWorld(t, 1000, 10, 34)
+		m, _ := newTestMaintainer(t, w.ds, w.pf, candFunc(w.ix), n, w.wl, 10, Config{
+			Method: HCO, CacheBytes: 64 << 10, Tau: 6,
+		}, MaintainOptions{})
+		defer m.Close()
 
-	batch := overlappingBatch(w.qtest, 6)
-	gotIDs, sts, err := m.SearchBatch(batch, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIDs) != len(batch) || len(sts) != len(batch) {
-		t.Fatalf("batch shape: %d results / %d stats for %d queries", len(gotIDs), len(sts), len(batch))
-	}
-	for j, q := range batch {
-		want, _, err := m.Engine().SearchCtx(context.Background(), q, 5)
+		batch := overlappingBatch(w.qtest, 6)
+		gotIDs, sts, err := m.SearchBatch(context.Background(), batch, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gotIDs[j]) != len(want) {
-			t.Fatalf("query %d: %d ids, want %d", j, len(gotIDs[j]), len(want))
+		if len(gotIDs) != len(batch) || len(sts) != len(batch) {
+			t.Fatalf("batch shape: %d results / %d stats for %d queries", len(gotIDs), len(sts), len(batch))
 		}
-		for i := range want {
-			if gotIDs[j][i] != want[i] {
-				t.Fatalf("query %d rank %d: id %d, want %d", j, i, gotIDs[j][i], want[i])
+		for j, q := range batch {
+			want, _, err := m.Sharded().Search(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameIDs(gotIDs[j], want) {
+				t.Fatalf("query %d: ids %v, want %v", j, gotIDs[j], want)
 			}
 		}
-	}
+		for s := 0; s < n; s++ {
+			if got := len(m.window(s)); got != len(batch) {
+				t.Fatalf("slot %d recorded %d of %d batch members", s, got, len(batch))
+			}
+		}
+	})
 }
 
 // TestSearchBatchEdgeCases: empty batches are free; a canceled context
@@ -227,12 +226,12 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids, sts, err := eng.SearchBatch(nil, 5); err != nil || ids != nil || sts != nil {
+	if ids, sts, err := eng.SearchBatch(context.Background(), nil, 5); err != nil || ids != nil || sts != nil {
 		t.Fatalf("empty batch: %v %v %v", ids, sts, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := eng.SearchBatchCtx(ctx, w.qtest[:2], 5); err == nil {
+	if _, _, err := eng.SearchBatch(ctx, w.qtest[:2], 5); err == nil {
 		t.Fatal("canceled context not surfaced")
 	}
 	tw := buildTreeWorld(t, "vptree", 600, 8, 36)

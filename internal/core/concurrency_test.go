@@ -159,7 +159,7 @@ func TestTreeEngineConcurrentSearches(t *testing.T) {
 // searchers are mid-flight, so scans genuinely span the publish.
 func TestConcurrentSlabScanDuringRebuild(t *testing.T) {
 	ds, pf, cands, poolA, poolB := driftWorld(t)
-	m, err := NewMaintainer(pf, ds, cands, poolA, 5, Config{
+	m, _ := newTestMaintainer(t, ds, pf, cands, 1, poolA, 5, Config{
 		Method:     HCO,
 		CacheBytes: 1 << 30, // covering: every candidate scores through the slab
 		Tau:        8,
@@ -167,9 +167,6 @@ func TestConcurrentSlabScanDuringRebuild(t *testing.T) {
 		// goroutines at once, not just many queries.
 		ParallelReduceThreshold: 1,
 	}, MaintainOptions{WindowSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer m.Close()
 	if m.Engine().slab == nil {
 		t.Fatal("HC-O maintainer engine did not build a slab")
@@ -216,9 +213,9 @@ func TestConcurrentSlabScanDuringRebuild(t *testing.T) {
 	// gate long enough for in-flight scans to straddle the publish.
 	for cycle := 0; cycle < 4; cycle++ {
 		gate := make(chan struct{})
-		m.rebuildGate = gate
-		if !m.RebuildAsync(5) {
-			t.Fatalf("cycle %d: RebuildAsync refused", cycle)
+		m.opt.RebuildGate = gate
+		if !m.RebuildShardAsync(0) {
+			t.Fatalf("cycle %d: RebuildShardAsync refused", cycle)
 		}
 		before := m.Engine()
 		time.Sleep(2 * time.Millisecond) // searchers mid-flight on the old slab

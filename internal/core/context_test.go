@@ -48,7 +48,7 @@ func TestEngineCanceledContextAbandonsSearch(t *testing.T) {
 	// Pre-canceled context: rejected before any work.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, st, err := eng.SearchCtx(ctx, q, 5); !errors.Is(err, context.Canceled) {
+	if _, st, err := eng.SearchCtx(ctx, q, 5, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: err = %v, want context.Canceled", err)
 	} else if st.Candidates != 0 || st.Fetched != 0 {
 		t.Fatalf("pre-canceled ctx did work: %+v", st)
@@ -66,7 +66,7 @@ func TestEngineCanceledContextAbandonsSearch(t *testing.T) {
 	sawPreRefinementCancel := false
 	for fuse := int64(1); ; fuse++ {
 		ctx := newFuseCtx(fuse)
-		_, st, err := eng.SearchCtx(ctx, q, 5)
+		_, st, err := eng.SearchCtx(ctx, q, 5, nil, nil)
 		if err == nil {
 			if st.Fetched != ref.Fetched {
 				t.Fatalf("fuse %d: completed search fetched %d, reference %d", fuse, st.Fetched, ref.Fetched)
@@ -115,7 +115,7 @@ func TestEngineParallelReduceCanceled(t *testing.T) {
 	}
 	// Fuse of 2: the entry check and one more poll pass, then every worker
 	// sees a dead context.
-	_, _, err = eng.SearchCtx(newFuseCtx(2), w.qtest[0], 5)
+	_, _, err = eng.SearchCtx(newFuseCtx(2), w.qtest[0], 5, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel reduce: err = %v, want context.Canceled", err)
 	}
@@ -169,60 +169,63 @@ func TestTreeEngineCanceledContext(t *testing.T) {
 }
 
 func TestMaintainerContextPassThroughAndClose(t *testing.T) {
-	ds, pf, cands, poolA, _ := driftWorld(t)
-	gate := make(chan struct{})
-	m, err := NewMaintainer(pf, ds, cands, poolA[:50], 5, Config{
-		Method: Exact, CacheBytes: 1 << 18,
-	}, MaintainOptions{WindowSize: 16, RebuildGate: gate})
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, func(t *testing.T, n int) {
+		ds, pf, cands, poolA, _ := driftWorld(t)
+		gate := make(chan struct{})
+		m, _ := newTestMaintainer(t, ds, pf, cands, n, poolA[:50], 5, Config{
+			Method: Exact, CacheBytes: 1 << 18,
+		}, MaintainOptions{WindowSize: 16, RebuildGate: gate})
 
-	// Cancellation flows through to the serving engine.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := m.SearchCtx(ctx, poolA[0], 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("maintainer ctx pass-through: err = %v", err)
-	}
+		// Cancellation flows through to the serving engines, and the abandoned
+		// query enters no window.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, _, err := m.SearchCtx(ctx, poolA[0], 5, nil, nil); !errors.Is(err, context.Canceled) {
+			t.Fatalf("maintainer ctx pass-through: err = %v", err)
+		}
+		if got := len(m.window(0)); got != 0 {
+			t.Fatalf("canceled query entered the drift window (%d recorded)", got)
+		}
 
-	// Seed the window and park a rebuild on the gate (the MaintainOptions
-	// seam, usable from outside the package).
-	for i := 0; i < 20; i++ {
-		if _, _, err := m.Search(poolA[i], 5); err != nil {
+		// Seed the windows and park a rebuild on the gate (the MaintainOptions
+		// seam, usable from outside the package).
+		seedWindows(t, m, poolA, 20, 5)
+		s := n - 1
+		if !m.RebuildShardAsync(s) {
+			t.Fatal("RebuildShardAsync refused with a populated window")
+		}
+
+		// Close must wait for the gated rebuild, not abandon it.
+		done := make(chan struct{})
+		go func() {
+			m.Close()
+			close(done)
+		}()
+		select {
+		case <-done:
+			t.Fatal("Close returned while a rebuild was still parked on the gate")
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(gate)
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close never returned after the rebuild was released")
+		}
+		if st := m.Stats(); st.Rebuilds != 1 || st.RebuildInFlight {
+			t.Fatalf("stats after Close: %+v", st)
+		}
+
+		// A closed maintainer refuses new rebuilds but still serves.
+		if m.RebuildShardAsync(s) {
+			t.Fatal("RebuildShardAsync accepted after Close")
+		}
+		if m.Stats().RebuildInFlight {
+			t.Fatal("a refused launch left the rebuild queue taken")
+		}
+		if _, _, err := m.Search(poolA[0], 5); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !m.RebuildAsync(5) {
-		t.Fatal("RebuildAsync refused with a populated window")
-	}
-
-	// Close must wait for the gated rebuild, not abandon it.
-	done := make(chan struct{})
-	go func() {
-		m.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("Close returned while a rebuild was still parked on the gate")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(gate)
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close never returned after the rebuild was released")
-	}
-	if st := m.Stats(); st.Rebuilds != 1 || st.RebuildInFlight {
-		t.Fatalf("stats after Close: %+v", st)
-	}
-
-	// A closed maintainer refuses new rebuilds but still serves.
-	if m.RebuildAsync(5) {
-		t.Fatal("RebuildAsync accepted after Close")
-	}
-	if _, _, err := m.Search(poolA[0], 5); err != nil {
-		t.Fatal(err)
-	}
-	m.Close() // idempotent
+		m.Close() // idempotent
+	})
 }

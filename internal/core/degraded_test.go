@@ -72,7 +72,7 @@ func TestDegradedShardServing(t *testing.T) {
 	failAllReads(specs[bad].PF)
 	sawErr := false
 	for _, q := range w.qtest {
-		_, _, err := se.SearchCtx(context.Background(), q, k)
+		_, _, err := se.SearchCtx(context.Background(), q, k, nil, nil)
 		if err != nil {
 			sawErr = true
 			var serr *ShardError
@@ -102,7 +102,7 @@ func TestDegradedShardServing(t *testing.T) {
 	degraded := 0
 	for qi, q := range w.qtest {
 		wasQuarantined := se.Quarantined(bad)
-		ids, st, err := se.SearchCtx(context.Background(), q, k)
+		ids, st, err := se.SearchCtx(context.Background(), q, k, nil, nil)
 		if err != nil {
 			t.Fatalf("q%d: degraded serving must not fail: %v", qi, err)
 		}
@@ -138,7 +138,7 @@ func TestDegradedShardServing(t *testing.T) {
 	// Once quarantined, the broken device is never touched again.
 	before := specs[bad].PF.Stats()
 	for _, q := range w.qtest[:4] {
-		if _, _, err := se.SearchCtx(context.Background(), q, k); err != nil {
+		if _, _, err := se.SearchCtx(context.Background(), q, k, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,7 +164,7 @@ func TestDegradedBatchServing(t *testing.T) {
 	se.Quarantine(bad)
 	se.SetDegradedOK(true)
 
-	ids, sts, err := se.SearchBatchCtx(context.Background(), w.qtest, k)
+	ids, sts, err := se.SearchBatch(context.Background(), w.qtest, k)
 	if err != nil {
 		t.Fatalf("degraded batch must not fail: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestQuarantineRefusedWithoutDegradedOK(t *testing.T) {
 	se.Quarantine(bad)
 	refused := false
 	for _, q := range w.qtest {
-		_, _, err := se.SearchCtx(context.Background(), q, 10)
+		_, _, err := se.SearchCtx(context.Background(), q, 10, nil, nil)
 		if err == nil {
 			// Legal only if no candidate was owned by the quarantined shard.
 			cids, _ := candFunc(w.ix)(q, 10)
@@ -228,73 +228,68 @@ func TestQuarantineRefusedWithoutDegradedOK(t *testing.T) {
 	}
 }
 
-// TestShardedMaintainerQuarantineRebuild: a permanently failed shard is
-// quarantined, served around, RCU-rebuilt in the background, and returned to
-// service — while the other shards keep answering.
-func TestShardedMaintainerQuarantineRebuild(t *testing.T) {
-	w := buildTieWorld(t, 1203, 16, 8)
-	cfg := Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6}
-	specs, owner, local := buildShardSpecs(t, w, 3, shard.RoundRobin)
-	m, err := NewShardedMaintainer(specs, owner, local, w.prof, candFunc(w.ix), 10, cfg, MaintainOptions{WindowSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	m.Sharded().SetDegradedOK(true)
-	const bad = 1
-	const k = 10
+// TestMaintainerQuarantineRebuild: a permanently failed unit is quarantined,
+// served around, RCU-rebuilt in the background, and returned to service —
+// while the other units keep answering (for N = 1 there are none: queries
+// come back flagged and empty until the unit recovers).
+func TestMaintainerQuarantineRebuild(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		w := buildTieWorld(t, 1203, 16, 8)
+		cfg := Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6}
+		m, specs := newTestMaintainer(t, w.ds, w.pf, candFunc(w.ix), n, w.wl, 10, cfg, MaintainOptions{WindowSize: 16})
+		defer m.Close()
+		m.Sharded().SetDegradedOK(true)
+		bad := n / 2
+		const k = 10
 
-	// Warm the drift windows so the quarantine rebuild has a workload.
-	for _, q := range w.qtest {
-		if _, _, err := m.SearchCtx(context.Background(), q, k); err != nil {
-			t.Fatal(err)
-		}
-	}
+		// Warm the drift windows so the quarantine rebuild has a workload.
+		seedWindows(t, m, w.qtest, len(w.qtest), k)
 
-	failAllReads(specs[bad].PF)
-	sawDegraded := false
-	for _, q := range w.qtest {
-		_, st, err := m.SearchCtx(context.Background(), q, k)
-		if err != nil {
-			t.Fatalf("degraded maintained serving must not fail: %v", err)
+		failAllReads(specs[bad].PF)
+		sawDegraded := false
+		for _, q := range w.qtest {
+			_, st, err := m.Search(q, k)
+			if err != nil {
+				t.Fatalf("degraded maintained serving must not fail: %v", err)
+			}
+			if st.Degraded {
+				sawDegraded = true
+				break
+			}
 		}
-		if st.Degraded {
-			sawDegraded = true
-			break
+		if !sawDegraded {
+			t.Fatal("no query ever hit the failed unit")
 		}
-	}
-	if !sawDegraded {
-		t.Fatal("no query ever hit the failed shard")
-	}
-	// The storage "recovers" (e.g. the operator replaced the disk); the
-	// quarantine rebuild brings the shard back.
-	specs[bad].PF.SetFaults(nil)
+		// The storage "recovers" (e.g. the operator replaced the disk); the
+		// quarantine rebuild brings the unit back.
+		specs[bad].PF.SetFaults(nil)
 
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Sharded().Quarantined(bad) {
-		if time.Now().After(deadline) {
-			t.Fatal("quarantine rebuild never completed")
+		deadline := time.Now().Add(5 * time.Second)
+		for m.Sharded().Quarantined(bad) {
+			if time.Now().After(deadline) {
+				t.Fatal("quarantine rebuild never completed")
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := m.Stats(); st.Quarantines < 1 {
-		t.Fatalf("Stats().Quarantines = %d, want >= 1", st.Quarantines)
-	}
-	if per := m.ShardStats(); per[bad].Quarantines < 1 {
-		t.Fatalf("shard %d Quarantines = %d, want >= 1", bad, per[bad].Quarantines)
-	}
+		if st := m.Stats(); st.Quarantines < 1 {
+			t.Fatalf("Stats().Quarantines = %d, want >= 1", st.Quarantines)
+		}
+		if per := m.ShardStats(); per[bad].Quarantines < 1 {
+			t.Fatalf("slot %d Quarantines = %d, want >= 1", bad, per[bad].Quarantines)
+		}
 
-	// Back in service: full-results, unflagged queries again.
-	for qi, q := range w.qtest[:8] {
-		ids, st, err := m.SearchCtx(context.Background(), q, k)
-		if err != nil {
-			t.Fatalf("q%d after rebuild: %v", qi, err)
+		// Back in service: full-results, unflagged queries again.
+		for qi, q := range w.qtest[:8] {
+			ids, st, err := m.Search(q, k)
+			if err != nil {
+				t.Fatalf("q%d after rebuild: %v", qi, err)
+			}
+			if st.Degraded {
+				t.Fatalf("q%d still degraded after rebuild", qi)
+			}
+			checkKNN(t, w, q, ids, k)
 		}
-		if st.Degraded {
-			t.Fatalf("q%d still degraded after rebuild", qi)
-		}
-		checkKNN(t, w, q, ids, k)
-	}
+	})
 }
 
 // TestDegradedShardServingRace hammers concurrent degraded searches against
@@ -302,11 +297,7 @@ func TestShardedMaintainerQuarantineRebuild(t *testing.T) {
 func TestDegradedShardServingRace(t *testing.T) {
 	w := buildTieWorld(t, 1203, 16, 9)
 	cfg := Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6}
-	specs, owner, local := buildShardSpecs(t, w, 3, shard.RoundRobin)
-	m, err := NewShardedMaintainer(specs, owner, local, w.prof, candFunc(w.ix), 10, cfg, MaintainOptions{WindowSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, specs := newTestMaintainer(t, w.ds, w.pf, candFunc(w.ix), 3, w.wl, 10, cfg, MaintainOptions{WindowSize: 16})
 	m.Sharded().SetDegradedOK(true)
 	const bad = 1
 
@@ -324,13 +315,13 @@ func TestDegradedShardServingRace(t *testing.T) {
 				}
 				q := w.qtest[(g*7+i)%len(w.qtest)]
 				if i%3 == 0 {
-					if _, _, err := m.SearchBatchCtx(context.Background(), w.qtest[:2], 5); err != nil {
+					if _, _, err := m.SearchBatch(context.Background(), w.qtest[:2], 5); err != nil {
 						t.Errorf("batch: %v", err)
 						return
 					}
 					continue
 				}
-				if _, _, err := m.SearchCtx(context.Background(), q, 10); err != nil {
+				if _, _, err := m.SearchCtx(context.Background(), q, 10, nil, nil); err != nil {
 					t.Errorf("search: %v", err)
 					return
 				}
@@ -349,7 +340,6 @@ func TestDegradedShardServingRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	m.Close()
-	_ = owner
 }
 
 // TestChaosDegradedServing is the CI chaos-matrix entry point: transient
@@ -392,7 +382,7 @@ func TestChaosDegradedServing(t *testing.T) {
 	}
 	base := make([]baseline, len(w.qtest))
 	for qi, q := range w.qtest {
-		ids, st, err := se.SearchCtx(context.Background(), q, k)
+		ids, st, err := se.SearchCtx(context.Background(), q, k, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +396,7 @@ func TestChaosDegradedServing(t *testing.T) {
 		}}))
 	}
 	for qi, q := range w.qtest {
-		ids, st, err := se.SearchCtx(context.Background(), q, k)
+		ids, st, err := se.SearchCtx(context.Background(), q, k, nil, nil)
 		if err != nil {
 			t.Fatalf("q%d: transient chaos at p=%v must not fail: %v", qi, p, err)
 		}

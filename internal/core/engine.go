@@ -431,23 +431,14 @@ func (e *Engine) ResetStats() { e.agg.Reset() }
 // and all per-query scratch comes from a pool. Reported per-phase timings
 // are CPU time of this goroutine's query only.
 func (e *Engine) Search(q []float32, k int) ([]int, QueryStats, error) {
-	return e.SearchIntoCtx(context.Background(), q, k, nil)
-}
-
-// SearchCtx is Search under a request context: a canceled or expired ctx
-// abandons the query at the next check point — between candidate scoring
-// strides, before Phase 3's refinement I/O starts, and before every point
-// fetch — returning ctx.Err() (possibly wrapped) instead of burning the
-// worker pool on an answer nobody is waiting for.
-func (e *Engine) SearchCtx(ctx context.Context, q []float32, k int) ([]int, QueryStats, error) {
-	return e.SearchIntoCtx(ctx, q, k, nil)
+	return e.SearchCtx(context.Background(), q, k, nil, nil)
 }
 
 // SearchInto is Search appending result identifiers to dst (pass dst[:0] to
 // reuse a buffer across queries). With a reused dst, the steady-state
 // cache-hit path performs zero heap allocations.
 func (e *Engine) SearchInto(q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return e.SearchIntoCtx(context.Background(), q, k, dst)
+	return e.SearchCtx(context.Background(), q, k, dst, nil)
 }
 
 // phase12 runs Phase 1 (candidate generation) and Phase 2 (cache-based
@@ -547,15 +538,14 @@ func (e *Engine) phase12(ctx context.Context, sc *searchScratch, q []float32, k 
 	return results, remaining, nil
 }
 
-// SearchIntoCtx is SearchInto under a request context; see SearchCtx for
-// the cancellation semantics.
-func (e *Engine) SearchIntoCtx(ctx context.Context, q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return e.searchIntoCtx(ctx, q, k, dst, nil)
-}
-
-// searchIntoCtx is the full Algorithm 1 pipeline with an optional
-// live-ingest overlay (nil mg = plain search); see SearchMergedIntoCtx.
-func (e *Engine) searchIntoCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
+// SearchCtx is the full-signature search: SearchInto under a request
+// context, with an optional live-ingest overlay (nil mg = plain search; see
+// Merge for the masking and scoring semantics). A canceled or expired ctx
+// abandons the query at the next check point — between candidate scoring
+// strides, before Phase 3's refinement I/O starts, and before every point
+// fetch — returning ctx.Err() (possibly wrapped) instead of burning the
+// worker pool on an answer nobody is waiting for.
+func (e *Engine) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}

@@ -14,85 +14,87 @@ import (
 
 // Maintainer implements Section 3.5's histogram maintenance: "we expect that
 // the distribution of queries in the workload does not change rapidly …
-// perform updates and rebuild the cache periodically". It serves queries
-// through a current engine, remembers a sliding window of recent queries,
-// and rebuilds the cache (HFF content, F′, Algorithm 2) from that window
-// when the observed hit ratio degrades against the post-build baseline —
-// the signature of workload drift.
+// perform updates and rebuild the cache periodically". It always serves
+// through the router (ShardedEngine) over N ≥ 1 units and keeps one slot of
+// maintenance state per unit: a sliding window of the queries the unit
+// served, a drift detector over the slice of their statistics it produced,
+// and — when adaptive — its own cost-model watchdog. A slot whose hit ratio
+// degrades against its post-build baseline rebuilds *only its own* cache
+// (HFF content, F′, Algorithm 2) from its window; flat maintained serving is
+// the N = 1 case, one unit over the system's own point file (SingleShard).
 //
-// Rebuilds are non-blocking: the serving engine lives in an atomic pointer,
-// drift detection only *launches* a rebuild, and the rebuild runs in a
-// background goroutine that swaps the new engine in when done (RCU-style:
-// readers never wait for writers). Searches in flight during a rebuild keep
-// using the old engine; a failed rebuild is recorded and the old engine
-// keeps serving.
+// Rebuilds are non-blocking: detection only *launches* a rebuild, which runs
+// in a background goroutine and RCU-swaps the unit's engine when done —
+// readers never wait for writers, searches in flight keep the engines they
+// snapshotted, every other unit keeps serving untouched, and a failed rebuild
+// is recorded while the old engine keeps serving. Each slot has one rebuild
+// queue (a launch CAS): drift, retune, quarantine and compaction rebuilds all
+// contend on it, so at most one is queued or running per unit.
+//
+// A replacement engine profiles the slot's window through the unit-filtered
+// candidate generator at the constructor's k and builds its own unit-local
+// histogram over the unit's proportional slice of the cache budget. Its
+// bounds stay correct and conservative for every query; bit-identity with a
+// flat engine built from the same profile is pinned for N = 1 and for
+// freshly constructed routers of any N, not across divergent drift histories.
 type Maintainer struct {
-	pf  *disk.PointFile
 	cfg Config
 	opt MaintainOptions
+	k   int // profiling depth of every rebuild and evaluation (Profile.K)
 
-	// fold is the dataset + Phase-1 candidate generator the maintainer
-	// profiles and builds engines from. It lives behind an atomic pointer
-	// because a live-ingest compaction (CompactRebuild) swaps both together
-	// after folding delta points into the base, while buildEngine and the
-	// watchdog's evaluation goroutine read them outside any rebuild lock.
-	fold atomic.Pointer[foldState]
+	// se is the serving router: Phase-1 generator, id maps, point horizon and
+	// unit engines behind one pointer. Unit rebuilds swap an engine inside
+	// it; a live-ingest compaction publishes a whole new router, so a search
+	// can never pair a post-fold candidate list with a pre-fold engine.
+	se atomic.Pointer[ShardedEngine]
 
-	// initialWL is the workload the maintainer was constructed from, retained
-	// as the profiling fallback for a compaction that lands before the drift
-	// window has recorded anything.
+	// initialWL is the workload the maintainer was constructed from, the
+	// profiling fallback for a compaction that lands before the drift window
+	// has recorded anything.
 	initialWL [][]float32
 
-	// eng is the serving engine. Loaded lock-free on every search; stored
-	// under mu when a rebuild completes.
-	eng atomic.Pointer[Engine]
+	// build constructs unit s's replacement engine over router se from a
+	// window of queries at a code length. A field so tests can inject
+	// failures; the default is buildUnit.
+	build func(se *ShardedEngine, s int, wl [][]float32, tau int) (*Engine, error)
 
-	// build constructs a replacement engine from a window of queries at a
-	// code length. It is a field so tests can inject failures; the default
-	// is buildEngine.
-	build func(wl [][]float32, k, tau int) (*Engine, error)
+	slots []*maintSlot
+	sink  shardSink // m.record, bound once so searches do not allocate it
 
-	// tau is the code length of the serving engine. Drift and quarantine
-	// rebuilds preserve it; only a watchdog retune moves it.
-	tau     atomic.Int64
-	retunes atomic.Int64
-
-	// monitor is the Section 4 drift watchdog; nil unless AdaptiveTau. One
-	// background window evaluation runs at a time (evaluating CAS) — a slow
-	// re-profile simply skips windows instead of piling up goroutines.
-	monitor    *costmodel.Monitor
-	evaluating atomic.Bool
-
-	// rebuildMu serializes rebuild *execution* (profile + engine build),
-	// never searches. rebuilding is the launch guard: only one background
-	// rebuild may be queued or running at a time.
-	rebuildMu   sync.Mutex
-	rebuilding  atomic.Bool
-	rebuilds    atomic.Int64
-	rebuildErrs atomic.Int64
-
-	// rebuildGate, when non-nil, is received from by the background rebuild
-	// before it starts building — a test seam to hold a rebuild in flight
-	// (settable from outside the package via MaintainOptions.RebuildGate).
-	rebuildGate chan struct{}
-
-	// lifeMu guards closed and the wg.Add/Wait ordering: a rebuild launch
-	// must either be observed by Close's Wait or be refused, never race it.
+	// lifeMu guards closed and the wg.Add/Wait ordering: a launch must either
+	// be observed by Close's Wait or be refused, never race it.
 	lifeMu sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
+}
 
-	// lastWallNs / lastAtNs record the most recent successful rebuild's
-	// build wall-clock and completion time (UnixNano); zero until the first
-	// rebuild lands.
-	lastWallNs atomic.Int64
-	lastAtNs   atomic.Int64
-
+// maintSlot is one unit's maintenance state.
+type maintSlot struct {
 	// mu guards the drift window and hit-ratio bookkeeping only; it is held
 	// for a few counter updates per query, never across a search or a build.
 	mu    sync.Mutex
 	drift driftState
 	adapt adaptWindow
+
+	// rebuilding is the launch guard (one rebuild queued or running per
+	// unit); rebuildMu serializes rebuild *execution*, never searches.
+	rebuilding  atomic.Bool
+	rebuildMu   sync.Mutex
+	rebuilds    atomic.Int64
+	rebuildErrs atomic.Int64
+	lastWallNs  atomic.Int64 // build wall-clock of the last installed rebuild
+	lastAtNs    atomic.Int64 // its completion time (UnixNano); 0 until one lands
+	quarantines atomic.Int64 // quarantine-triggered rebuild launches
+
+	// tau is the unit's serving code length: drift, quarantine and compaction
+	// rebuilds preserve it, only a watchdog retune moves it — units drift and
+	// retune independently. monitor is the Section 4 watchdog (nil unless
+	// AdaptiveTau); one window evaluation runs at a time (evaluating CAS), a
+	// slow re-profile skips windows instead of piling up goroutines.
+	tau        atomic.Int64
+	retunes    atomic.Int64
+	monitor    *costmodel.Monitor
+	evaluating atomic.Bool
 }
 
 // adaptWindow accumulates one watchdog window's candidate-weighted observed
@@ -129,16 +131,6 @@ func (w *adaptWindow) reset() {
 	w.n = 0
 }
 
-// maintSignal is what one recorded query asks the maintainer to launch:
-// a drift rebuild (the one-window countdown expired), an adaptive window
-// evaluation, or neither.
-type maintSignal struct {
-	rebuildWL [][]float32 // non-nil: launch a drift rebuild from this window
-	evalWL    [][]float32 // non-nil: evaluate this window against the model
-
-	obsHit, obsRefine float64 // observed ratios of the completed window
-}
-
 // adaptInputs assembles the Section 4 model inputs from a freshly profiled
 // window and the engine's geometry, mirroring System.CostInputs.
 func adaptInputs(prof *Profile, ds *dataset.Dataset, budget int64) costmodel.Inputs {
@@ -154,11 +146,9 @@ func adaptInputs(prof *Profile, ds *dataset.Dataset, budget int64) costmodel.Inp
 	}
 }
 
-// driftState is the drift detector of one maintained engine: the sliding
-// query window and the candidate-weighted hit-ratio bookkeeping. It is
-// extracted from Maintainer so the sharded maintainer can run one
-// independent detector per shard. The owner provides the locking (all
-// methods assume the caller holds its mutex).
+// driftState is the drift detector of one slot: the sliding query window and
+// the candidate-weighted hit-ratio bookkeeping. The owner provides the
+// locking (all methods assume the caller holds the slot's mutex).
 type driftState struct {
 	opt MaintainOptions
 
@@ -300,7 +290,9 @@ func (o MaintainOptions) withDefaults() MaintainOptions {
 	return o
 }
 
-// MaintainStats is a snapshot of the maintainer's rebuild activity.
+// MaintainStats is a snapshot of one slot's rebuild activity, or of all
+// slots together (counts sum, flags OR, the last-rebuild pair is the most
+// recent swap anywhere).
 type MaintainStats struct {
 	Rebuilds        int  // completed rebuilds that swapped an engine in
 	RebuildErrors   int  // rebuild attempts that failed (old engine kept)
@@ -313,229 +305,419 @@ type MaintainStats struct {
 	LastRebuildWall time.Duration
 	LastRebuildAt   time.Time
 
-	// Quarantines counts the quarantine-triggered rebuilds launched for the
-	// shard (sharded maintainer only); Quarantined is the shard's current
-	// fault state.
+	// Quarantines counts the quarantine-triggered rebuilds launched;
+	// Quarantined is the unit's current fault state.
 	Quarantines int
 	Quarantined bool
 
 	// Retunes counts watchdog-triggered τ retune rebuilds that swapped in;
-	// Tau is the serving engine's code length (for a sharded aggregate, the
-	// shards' τ when they all agree and 0 when they have diverged).
+	// Tau is the serving code length (for the all-slot aggregate, the units'
+	// τ when they all agree and 0 when they have retuned apart).
 	Retunes int
 	Tau     int
 }
 
-// foldState pairs the dataset with its Phase-1 candidate generator; see
-// Maintainer.fold.
-type foldState struct {
-	ds    *dataset.Dataset
-	cands CandidateFunc
-}
-
-// NewMaintainer wraps an initial workload into a self-maintaining engine.
-func NewMaintainer(pf *disk.PointFile, ds *dataset.Dataset, cands CandidateFunc, initialWL [][]float32, k int, cfg Config, opt MaintainOptions) (*Maintainer, error) {
+// NewMaintainer builds the router over the given units (SingleShard for
+// N = 1) from an already built profile and arms one slot per unit. Rebuilds,
+// watchdog evaluations, quarantine recoveries and compactions all profile at
+// prof.K — never at a client's k.
+func NewMaintainer(specs []ShardSpec, owner, local []int32, prof *Profile, cands CandidateFunc, cfg Config, opt MaintainOptions) (*Maintainer, error) {
 	opt = opt.withDefaults()
-	m := &Maintainer{
-		pf: pf, cfg: cfg, opt: opt,
-		initialWL:   initialWL,
-		drift:       newDriftState(opt),
-		rebuildGate: opt.RebuildGate,
-	}
-	m.fold.Store(&foldState{ds: ds, cands: cands})
-	m.build = m.buildEngine
-	tau := cfg.withDefaults().Tau
-	m.tau.Store(int64(tau))
-	if opt.AdaptiveTau {
-		m.adapt.size = opt.WindowSize
-		m.monitor = costmodel.NewMonitor(tau, costmodel.MonitorConfig{
-			Threshold: opt.RetuneThreshold,
-			Windows:   opt.RetuneWindows,
-		})
-	}
-	eng, err := m.buildEngine(initialWL, k, tau)
+	se, err := NewShardedEngine(specs, owner, local, prof, cands, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: initial maintained engine: %w", err)
 	}
-	m.eng.Store(eng)
+	m := &Maintainer{cfg: cfg, opt: opt, k: prof.K, initialWL: prof.WL}
+	m.se.Store(se)
+	m.build = m.buildUnit
+	m.sink = m.record
+	tau := cfg.withDefaults().Tau
+	for range specs {
+		slot := &maintSlot{drift: newDriftState(opt)}
+		slot.tau.Store(int64(tau))
+		if opt.AdaptiveTau {
+			slot.adapt.size = opt.WindowSize
+			slot.monitor = costmodel.NewMonitor(tau, costmodel.MonitorConfig{
+				Threshold: opt.RetuneThreshold,
+				Windows:   opt.RetuneWindows,
+			})
+		}
+		m.slots = append(m.slots, slot)
+	}
 	return m, nil
 }
 
-// buildEngine is the default build: profile the window, construct the engine
-// at the requested code length, both over the current fold (which a
-// compaction may have extended since the last rebuild).
-func (m *Maintainer) buildEngine(wl [][]float32, k, tau int) (*Engine, error) {
-	fs := m.fold.Load()
-	prof := BuildProfile(fs.ds, fs.cands, wl, k)
+// buildUnit is the default rebuild: profile the window against unit s's
+// filtered candidate generator and construct a standalone engine over the
+// unit's point file under its proportional share of the cache budget. The
+// replacement builds its own unit-local histogram — the shared model
+// describes the workload the system started with, while the rebuild's whole
+// point is to follow what this unit serves now — so its bucket lookups expect
+// local ids (globalIDs stays nil, unlike the engines NewShardedEngine builds).
+func (m *Maintainer) buildUnit(se *ShardedEngine, s int, wl [][]float32, tau int) (*Engine, error) {
+	u := se.units[s]
+	scands := se.ShardCandidates(s)
+	prof := BuildProfile(u.DS, scands, wl, m.k)
 	cfg := m.cfg
 	cfg.Tau = tau
-	return NewEngine(m.pf, prof, fs.cands, cfg)
+	cfg.CacheBytes = m.unitBudget(se, s)
+	return NewEngine(u.PF, prof, scands, cfg)
 }
 
-// curTau returns the serving engine's code length.
-func (m *Maintainer) curTau() int { return int(m.tau.Load()) }
-
-// Engine returns the currently serving engine (for inspection).
-func (m *Maintainer) Engine() *Engine { return m.eng.Load() }
-
-// DiskStats snapshots the backing point file's device counters, including
-// fault-handling activity.
-func (m *Maintainer) DiskStats() disk.Stats { return m.pf.Stats() }
-
-// Rebuilds reports how many automatic rebuilds have completed.
-func (m *Maintainer) Rebuilds() int { return int(m.rebuilds.Load()) }
-
-// Stats snapshots the rebuild counters.
-func (m *Maintainer) Stats() MaintainStats {
-	st := MaintainStats{
-		Rebuilds:        int(m.rebuilds.Load()),
-		RebuildErrors:   int(m.rebuildErrs.Load()),
-		RebuildInFlight: m.rebuilding.Load(),
-		Retunes:         int(m.retunes.Load()),
-		Tau:             m.curTau(),
-	}
-	if ns := m.lastWallNs.Load(); ns > 0 {
-		st.LastRebuildWall = time.Duration(ns)
-	}
-	if at := m.lastAtNs.Load(); at > 0 {
-		st.LastRebuildAt = time.Unix(0, at)
-	}
-	return st
+// unitBudget is unit s's proportional slice of the cache budget.
+func (m *Maintainer) unitBudget(se *ShardedEngine, s int) int64 {
+	return m.cfg.CacheBytes * int64(se.units[s].DS.Len()) / int64(len(se.owner))
 }
 
-// Search serves one query, records it in the drift window, and launches a
-// background rebuild when drift is detected. Safe for concurrent use:
-// searches read the engine through an atomic pointer and never wait on a
-// rebuild.
+// slotTau returns unit s's serving code length.
+func (m *Maintainer) slotTau(s int) int { return int(m.slots[s].tau.Load()) }
+
+// Sharded returns the serving router (for stats wiring and inspection). A
+// live-ingest compaction replaces it; callers that outlive one should ask
+// again rather than hold the pointer.
+func (m *Maintainer) Sharded() *ShardedEngine { return m.se.Load() }
+
+// Engine returns unit 0's currently serving engine — the whole cache when
+// N = 1; for N > 1 use Sharded().Engine(s).
+func (m *Maintainer) Engine() *Engine { return m.se.Load().Engine(0) }
+
+// Dim returns the dataset dimensionality.
+func (m *Maintainer) Dim() int { return m.se.Load().Dim() }
+
+// DiskStats sums device counters across every unit's point file.
+func (m *Maintainer) DiskStats() disk.Stats { return m.se.Load().DiskStats() }
+
+// ShardAggregates snapshots every unit's accumulated statistics from the
+// serving router.
+func (m *Maintainer) ShardAggregates() []ShardAggregate { return m.se.Load().ShardAggregates() }
+
+// Search serves one query; see SearchCtx.
 func (m *Maintainer) Search(q []float32, k int) ([]int, QueryStats, error) {
-	return m.SearchIntoCtx(context.Background(), q, k, nil)
+	return m.SearchCtx(context.Background(), q, k, nil, nil)
 }
 
-// SearchCtx is Search under a request context, forwarding cancellation to
-// the serving engine (see Engine.SearchCtx). Abandoned queries never enter
-// the drift window: a burst of cancellations must not masquerade as a
-// workload shift and trigger a rebuild.
-func (m *Maintainer) SearchCtx(ctx context.Context, q []float32, k int) ([]int, QueryStats, error) {
-	return m.SearchIntoCtx(ctx, q, k, nil)
-}
-
-// SearchInto is Search appending result identifiers to dst, mirroring
-// Engine.SearchInto for allocation-conscious callers.
+// SearchInto is Search appending result identifiers to dst.
 func (m *Maintainer) SearchInto(q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return m.SearchIntoCtx(context.Background(), q, k, dst)
+	return m.SearchCtx(context.Background(), q, k, dst, nil)
 }
 
-// SearchIntoCtx is SearchInto under a request context; see SearchCtx.
-func (m *Maintainer) SearchIntoCtx(ctx context.Context, q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return m.SearchMergedIntoCtx(ctx, q, k, dst, nil)
+// SearchCtx serves one query through the router (see ShardedEngine.SearchCtx
+// for ctx and the live-ingest overlay mg) and folds the per-unit statistics
+// into each engaged slot's windows, launching that slot's background rebuild
+// when its window trips. Safe for concurrent use: searches never wait on a
+// rebuild. Abandoned queries never enter any window — a burst of
+// cancellations must not masquerade as a workload shift. Windows count base
+// candidates only: delta extras of a merged search are always hits and belong
+// to no unit yet.
+func (m *Maintainer) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
+	return m.se.Load().search(ctx, q, k, dst, mg, m.sink)
 }
 
-// SearchMergedIntoCtx is SearchIntoCtx with the live-ingest overlay folded
-// into the serving engine's search (see Merge). Merged queries enter the
-// drift window like plain ones: the delta's contribution to hit ratios is
-// what the rebuilt cache will actually serve.
-func (m *Maintainer) SearchMergedIntoCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
-	ids, st, err := m.eng.Load().SearchMergedIntoCtx(ctx, q, k, dst, mg)
+// SearchBatch runs the batch through the router's coalesced refinement and
+// applies SearchCtx's maintenance semantics per batch member (the launch CAS
+// starts at most one rebuild however many members trip the window).
+func (m *Maintainer) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
+	return m.se.Load().searchBatch(ctx, qs, k, m.sink)
+}
+
+// record is the router's statistics sink: one served query's per-unit
+// statistics feed the drift detector — and, when adaptive, the watchdog
+// window — of every slot that served it, and a degraded query launches the
+// quarantine rebuild of each unit it was served around.
+func (m *Maintainer) record(q []float32, st *QueryStats, per []QueryStats) {
+	if st.Degraded {
+		m.noteFailures(q, st.FailedShards)
+	}
+	for s, ps := range per {
+		if ps.Candidates == 0 && ps.Fetched == 0 {
+			continue // the query never touched this unit
+		}
+		slot := m.slots[s]
+		slot.mu.Lock()
+		// Detection arms a one-window countdown (see driftState), then hands
+		// back the pure post-drift window to rebuild from.
+		rebuildWL := slot.drift.record(q, ps, func() bool { return slot.rebuilding.CompareAndSwap(false, true) })
+		var evalWL [][]float32
+		var obsHit, obsRefine float64
+		if slot.monitor != nil {
+			var done bool
+			if obsHit, obsRefine, done = slot.adapt.add(ps); done {
+				evalWL = slot.drift.snapshot()
+			}
+		}
+		slot.mu.Unlock()
+		if rebuildWL != nil {
+			m.launchWindowRebuild(s, rebuildWL, m.slotTau(s), false)
+		}
+		if evalWL != nil {
+			m.launchEvaluate(s, obsHit, obsRefine, evalWL)
+		}
+	}
+}
+
+// noteFailures reacts to a degraded query: every unit it was served around
+// gets a quarantine rebuild launched (at most one in flight per unit — the
+// launch CAS absorbs the storm of degraded queries that follow a failure).
+// The rebuild runs from the slot's drift window, falling back to the failing
+// query itself when the window is empty, and clears the quarantine only if it
+// succeeds; a failed rebuild leaves the unit quarantined and the next
+// degraded query tries again.
+func (m *Maintainer) noteFailures(q []float32, failed []int) {
+	se := m.se.Load()
+	for _, s := range failed {
+		if !se.Quarantined(s) {
+			continue // already rebuilt by the time we got here
+		}
+		slot := m.slots[s]
+		if !slot.rebuilding.CompareAndSwap(false, true) {
+			continue // rebuild already in flight
+		}
+		wl := m.window(s)
+		if len(wl) == 0 {
+			wl = [][]float32{append([]float32(nil), q...)}
+		}
+		slot.quarantines.Add(1)
+		m.launchWindowRebuild(s, wl, m.slotTau(s), false)
+	}
+}
+
+// window snapshots slot s's drift window.
+func (m *Maintainer) window(s int) [][]float32 {
+	slot := m.slots[s]
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	return slot.drift.snapshot()
+}
+
+// launchEvaluate runs one watchdog window evaluation of slot s in the
+// background: it re-profiles the window against the unit-filtered candidate
+// generator (Phase 1 only — the serving engines and their stats are
+// untouched, so a never-retuning adaptive maintainer stays bit-identical to a
+// non-adaptive one), asks the slot's monitor to compare observed ratios
+// against the model, and on a retune decision launches a rebuild at the
+// recommended τ through the ordinary launch CAS. At most one evaluation runs
+// per slot; windows that complete while one is in flight are skipped, not
+// queued.
+func (m *Maintainer) launchEvaluate(s int, obsHit, obsRefine float64, wl [][]float32) {
+	slot := m.slots[s]
+	if !slot.evaluating.CompareAndSwap(false, true) {
+		return
+	}
+	m.lifeMu.Lock()
+	if m.closed {
+		m.lifeMu.Unlock()
+		slot.evaluating.Store(false)
+		return
+	}
+	m.wg.Add(1)
+	m.lifeMu.Unlock()
+	go func() {
+		defer m.wg.Done()
+		defer slot.evaluating.Store(false)
+		se := m.se.Load()
+		ds := se.units[s].DS
+		prof := BuildProfile(ds, se.ShardCandidates(s), wl, m.k)
+		d := slot.monitor.Observe(obsHit, obsRefine, adaptInputs(prof, ds, m.unitBudget(se, s)))
+		if d.Retune && slot.rebuilding.CompareAndSwap(false, true) {
+			m.launchWindowRebuild(s, wl, d.Tau, true)
+		}
+	}()
+}
+
+// CostModels snapshots every adaptive slot's watchdog telemetry; entries are
+// nil for slots without a monitor (a non-adaptive maintainer returns a slice
+// of nils).
+func (m *Maintainer) CostModels() []*costmodel.MonitorSnapshot {
+	out := make([]*costmodel.MonitorSnapshot, len(m.slots))
+	for s, slot := range m.slots {
+		if slot.monitor != nil {
+			snap := slot.monitor.Snapshot()
+			out[s] = &snap
+		}
+	}
+	return out
+}
+
+// rebuildFunc produces one rebuild's outcome: the engine to install into
+// unit s of router se. Window rebuilds return the serving router; a
+// compaction returns the refolded one, which install then publishes.
+type rebuildFunc func() (se *ShardedEngine, eng *Engine, err error)
+
+// windowRebuild is the rebuildFunc of every trigger but compaction: unit s
+// rebuilt from wl at code length tau over whatever router is serving when the
+// rebuild gets to run.
+func (m *Maintainer) windowRebuild(s int, wl [][]float32, tau int) rebuildFunc {
+	return func() (*ShardedEngine, *Engine, error) {
+		se := m.se.Load()
+		eng, err := m.build(se, s, wl, tau)
+		return se, eng, err
+	}
+}
+
+// launchWindowRebuild launches a windowRebuild of slot s; the caller must
+// have won the slot's rebuilding CAS (see launchRebuild).
+func (m *Maintainer) launchWindowRebuild(s int, wl [][]float32, tau int, retuned bool) bool {
+	return m.launchRebuild(s, tau, retuned, m.windowRebuild(s, wl, tau), nil)
+}
+
+// launchRebuild starts slot s's background rebuild at code length tau
+// (retuned marks a watchdog retune); onDone, when non-nil, learns whether an
+// engine was installed, after the swap is visible. The caller must have won
+// the slot's rebuilding CAS. After Close the launch is refused (releasing the
+// CAS) instead of racing the shutdown.
+func (m *Maintainer) launchRebuild(s, tau int, retuned bool, build rebuildFunc, onDone func(installed bool)) bool {
+	m.lifeMu.Lock()
+	if m.closed {
+		m.lifeMu.Unlock()
+		m.slots[s].rebuilding.Store(false)
+		return false
+	}
+	m.wg.Add(1)
+	m.lifeMu.Unlock()
+	go m.backgroundRebuild(s, tau, retuned, build, onDone)
+	return true
+}
+
+// backgroundRebuild rebuilds unit s off the search path and RCU-swaps the
+// replacement in. Only this unit's engine pointer moves; the other units and
+// every in-flight query (which snapshotted its engines at entry) are
+// untouched. A failed build only bumps the slot's error counter: the old
+// engine keeps serving and searches never observe the failure.
+// MaintainOptions.RebuildGate, when set, parks the rebuild before it builds.
+func (m *Maintainer) backgroundRebuild(s, tau int, retuned bool, build rebuildFunc, onDone func(installed bool)) {
+	defer m.wg.Done()
+	defer m.slots[s].rebuilding.Store(false)
+	if m.opt.RebuildGate != nil {
+		<-m.opt.RebuildGate
+	}
+	err := m.rebuild(s, tau, retuned, build)
+	if onDone != nil {
+		onDone(err == nil)
+	}
+}
+
+// rebuild executes one rebuild of unit s under the slot's execution lock:
+// build, then install. Shared by the background path and ForceShardRebuild.
+func (m *Maintainer) rebuild(s, tau int, retuned bool, build rebuildFunc) error {
+	slot := m.slots[s]
+	slot.rebuildMu.Lock()
+	defer slot.rebuildMu.Unlock()
+	start := time.Now()
+	se, eng, err := build()
 	if err != nil {
-		return nil, st, err
+		slot.rebuildErrs.Add(1)
+		return err
 	}
-
-	sig := m.recordQuery(q, st)
-	if sig.rebuildWL != nil {
-		m.launchRebuild(sig.rebuildWL, k, m.curTau(), false)
-	}
-	if sig.evalWL != nil {
-		m.launchEvaluate(sig.obsHit, sig.obsRefine, sig.evalWL, k)
-	}
-	return ids, st, nil
+	m.install(se, s, eng, time.Since(start), tau, retuned)
+	return nil
 }
 
-// recordQuery folds one served query into the drift window and, when
-// adaptive, the watchdog window. When drift is detected (and no rebuild is
-// already in flight) it arms a one-window countdown; once the window holds
-// only post-detection queries it snapshots and returns the rebuild workload.
-// A completed watchdog window returns its observed ratios and a snapshot to
-// evaluate.
-func (m *Maintainer) recordQuery(q []float32, st QueryStats) maintSignal {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sig maintSignal
-	sig.rebuildWL = m.drift.record(q, st, func() bool { return m.rebuilding.CompareAndSwap(false, true) })
-	if m.monitor != nil {
-		if hit, ref, done := m.adapt.add(st); done {
-			sig.obsHit, sig.obsRefine = hit, ref
-			sig.evalWL = m.drift.snapshot()
+// install publishes unit s's freshly built engine inside router se (the
+// serving router, or a compaction's refolded one — republishing the serving
+// pointer is a no-op), records the rebuild timing and resets the slot's drift
+// baseline and watchdog window: the fresh cache's behavior is what both
+// detectors must judge from now on. A successful install also lifts the
+// unit's quarantine — the rebuilt engine starts with a clean bill until its
+// storage proves otherwise.
+func (m *Maintainer) install(se *ShardedEngine, s int, eng *Engine, wall time.Duration, tau int, retuned bool) {
+	slot := m.slots[s]
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	se.swapEngine(s, eng)
+	se.ClearQuarantine(s)
+	m.se.Store(se)
+	slot.rebuilds.Add(1)
+	slot.tau.Store(int64(tau))
+	if retuned {
+		slot.retunes.Add(1)
+	}
+	slot.lastWallNs.Store(int64(wall))
+	slot.lastAtNs.Store(time.Now().UnixNano())
+	slot.drift.resetAfterInstall()
+	slot.adapt.reset()
+	if slot.monitor != nil {
+		slot.monitor.NoteInstall(tau, retuned)
+	}
+}
+
+// ForceShardRebuild rebuilds unit s synchronously from its current drift
+// window (the paper's "e.g., daily" scheduled variant; call it from a timer
+// if preferred) and reports any build error to the caller.
+func (m *Maintainer) ForceShardRebuild(s int) error {
+	wl := m.window(s)
+	if len(wl) == 0 {
+		return fmt.Errorf("core: shard %d has no recorded queries to rebuild from", s)
+	}
+	tau := m.slotTau(s)
+	return m.rebuild(s, tau, false, m.windowRebuild(s, wl, tau))
+}
+
+// RebuildShardAsync launches unit s's background rebuild from its current
+// window, returning false when one is already queued or running, the window
+// is empty, or the maintainer is closed. Unlike ForceShardRebuild it never
+// blocks the caller on the build.
+func (m *Maintainer) RebuildShardAsync(s int) bool {
+	slot := m.slots[s]
+	if !slot.rebuilding.CompareAndSwap(false, true) {
+		return false
+	}
+	wl := m.window(s)
+	if len(wl) == 0 {
+		slot.rebuilding.Store(false)
+		return false
+	}
+	return m.launchWindowRebuild(s, wl, m.slotTau(s), false)
+}
+
+// CompactRebuild folds a live-ingest delta into the base through one
+// ordinary non-blocking RCU rebuild of the single unit. prepare runs inside
+// the background rebuild goroutine — under the slot's execution lock, off the
+// search path — and performs the compactor's heavy lifting: extending the
+// point file, building the folded dataset and its Phase-1 candidate
+// generator. On success a fresh engine is profiled over the fold from the
+// current drift window (or the initial workload when the window is empty) at
+// the serving τ, and the refolded router — generator, id horizon and engine
+// together — is published like any rebuild. onDone (optional) reports
+// whether it was, after the swap is visible.
+//
+// CompactRebuild contends on the same launch CAS as drift, retune and
+// quarantine rebuilds — one rebuild queue. It returns false without calling
+// prepare when another rebuild is queued or running (the compactor simply
+// retries on a later trigger) or when the maintainer is closed; the CAS is
+// won before prepare runs, so a compaction never mutates the point file
+// concurrently with another rebuild's profile or build. It also returns
+// false for N > 1: the physical fold would have to re-partition every shard
+// file, so sharded deployments never compact (restart recovery folds the WAL
+// instead).
+func (m *Maintainer) CompactRebuild(prepare func() (*dataset.Dataset, CandidateFunc, error), onDone func(installed bool)) bool {
+	if len(m.slots) != 1 || !m.slots[0].rebuilding.CompareAndSwap(false, true) {
+		return false
+	}
+	wl := m.window(0)
+	if len(wl) == 0 {
+		wl = m.initialWL
+	}
+	tau := m.slotTau(0)
+	return m.launchRebuild(0, tau, false, func() (*ShardedEngine, *Engine, error) {
+		ds, cands, err := prepare()
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	return sig
-}
-
-// launchEvaluate runs one watchdog window evaluation in the background: it
-// re-profiles the window (Phase 1 only — the serving engine and its stats
-// are untouched, so a never-retuning adaptive engine stays bit-identical to
-// a non-adaptive one), asks the monitor to compare observed ratios against
-// the model, and on a retune decision launches a rebuild at the recommended
-// τ through the ordinary rebuild CAS. At most one evaluation runs at a time;
-// windows that complete while one is in flight are skipped, not queued.
-func (m *Maintainer) launchEvaluate(obsHit, obsRefine float64, wl [][]float32, k int) {
-	if !m.evaluating.CompareAndSwap(false, true) {
-		return
-	}
-	m.lifeMu.Lock()
-	if m.closed {
-		m.lifeMu.Unlock()
-		m.evaluating.Store(false)
-		return
-	}
-	m.wg.Add(1)
-	m.lifeMu.Unlock()
-	go func() {
-		defer m.wg.Done()
-		defer m.evaluating.Store(false)
-		fs := m.fold.Load()
-		prof := BuildProfile(fs.ds, fs.cands, wl, k)
-		in := adaptInputs(prof, fs.ds, m.cfg.CacheBytes)
-		d := m.monitor.Observe(obsHit, obsRefine, in)
-		if d.Retune && m.rebuilding.CompareAndSwap(false, true) {
-			m.launchRebuild(wl, k, d.Tau, true)
+		se, err := m.se.Load().refold(ds, cands)
+		if err != nil {
+			return nil, nil, err
 		}
-	}()
+		eng, err := m.build(se, 0, wl, tau)
+		return se, eng, err
+	}, onDone)
 }
 
-// CostModel snapshots the drift watchdog's telemetry; ok is false when the
-// maintainer is not adaptive.
-func (m *Maintainer) CostModel() (costmodel.MonitorSnapshot, bool) {
-	if m.monitor == nil {
-		return costmodel.MonitorSnapshot{}, false
-	}
-	return m.monitor.Snapshot(), true
-}
-
-// launchRebuild starts the background rebuild for a window snapshot at code
-// length tau (retuned marks a watchdog-triggered retune). The caller must
-// have won the m.rebuilding CAS. After Close the launch is refused
-// (releasing the CAS) instead of racing the shutdown.
-func (m *Maintainer) launchRebuild(wl [][]float32, k, tau int, retuned bool) {
-	m.lifeMu.Lock()
-	if m.closed {
-		m.lifeMu.Unlock()
-		m.rebuilding.Store(false)
-		return
-	}
-	m.wg.Add(1)
-	m.lifeMu.Unlock()
-	go func() {
-		defer m.wg.Done()
-		m.backgroundRebuild(wl, k, tau, retuned)
-	}()
-}
-
-// Close stops the maintainer's background activity: no further rebuilds
-// launch, and any rebuild already in flight is waited for (its swap still
-// lands — the work is done, discarding it buys nothing). Searches through a
-// closed Maintainer still work; they just serve the frozen engine. Close is
-// idempotent and is the graceful-shutdown hook the HTTP server calls after
-// draining requests.
+// Close stops the maintainer's background activity: no further rebuilds or
+// evaluations launch on any slot, and any already in flight are waited for
+// (their swaps still land — the work is done, discarding it buys nothing).
+// Searches through a closed Maintainer still work; they just serve the frozen
+// engines. Close is idempotent and is the graceful-shutdown hook the HTTP
+// server calls after draining requests.
 func (m *Maintainer) Close() {
 	m.lifeMu.Lock()
 	m.closed = true
@@ -543,163 +725,46 @@ func (m *Maintainer) Close() {
 	m.wg.Wait()
 }
 
-// RebuildAsync launches a background rebuild from the current window,
-// returning false when one is already queued or running, the window is
-// empty, or the maintainer is closed. Unlike ForceRebuild it never blocks
-// the caller on the build.
-func (m *Maintainer) RebuildAsync(k int) bool {
-	m.lifeMu.Lock()
-	closed := m.closed
-	m.lifeMu.Unlock()
-	if closed {
-		return false
+// ShardStats snapshots every slot's own rebuild activity.
+func (m *Maintainer) ShardStats() []MaintainStats {
+	se := m.se.Load()
+	out := make([]MaintainStats, len(m.slots))
+	for s, slot := range m.slots {
+		out[s] = MaintainStats{
+			Rebuilds:        int(slot.rebuilds.Load()),
+			RebuildErrors:   int(slot.rebuildErrs.Load()),
+			RebuildInFlight: slot.rebuilding.Load(),
+			LastRebuildWall: time.Duration(slot.lastWallNs.Load()),
+			Quarantines:     int(slot.quarantines.Load()),
+			Quarantined:     se.Quarantined(s),
+			Retunes:         int(slot.retunes.Load()),
+			Tau:             m.slotTau(s),
+		}
+		if at := slot.lastAtNs.Load(); at > 0 {
+			out[s].LastRebuildAt = time.Unix(0, at)
+		}
 	}
-	if !m.rebuilding.CompareAndSwap(false, true) {
-		return false
-	}
-	m.mu.Lock()
-	wl := m.drift.snapshot()
-	m.mu.Unlock()
-	if len(wl) == 0 {
-		m.rebuilding.Store(false)
-		return false
-	}
-	m.launchRebuild(wl, k, m.curTau(), false)
-	return true
+	return out
 }
 
-// CompactRebuild folds a live-ingest delta into the base through one
-// ordinary non-blocking RCU rebuild. prepare runs inside the background
-// rebuild goroutine — under rebuildMu, off the search path — and performs
-// the compactor's heavy lifting: extending the point file, building the
-// folded dataset and its Phase-1 candidate generator. On success the fold is
-// swapped, a fresh engine is profiled from the current drift window (or the
-// initial workload when the window is empty) at the serving τ, and the
-// engine is installed like any drift rebuild. onDone (optional) reports
-// whether an engine was installed, after the swap is visible.
-//
-// CompactRebuild contends on the same launch CAS as drift, retune and
-// quarantine rebuilds — one rebuild queue. It returns false without calling
-// prepare when another rebuild is queued or running (the compactor simply
-// retries on a later trigger) or when the maintainer is closed. The CAS is
-// won before prepare runs, so a compaction never mutates the point file
-// concurrently with another rebuild's profile or build.
-func (m *Maintainer) CompactRebuild(k int, prepare func() (*dataset.Dataset, CandidateFunc, error), onDone func(installed bool)) bool {
-	if !m.rebuilding.CompareAndSwap(false, true) {
-		return false
-	}
-	m.lifeMu.Lock()
-	if m.closed {
-		m.lifeMu.Unlock()
-		m.rebuilding.Store(false)
-		return false
-	}
-	m.wg.Add(1)
-	m.lifeMu.Unlock()
-
-	m.mu.Lock()
-	wl := m.drift.snapshot()
-	m.mu.Unlock()
-	if len(wl) == 0 {
-		wl = m.initialWL
-	}
-	tau := m.curTau()
-
-	go func() {
-		defer m.wg.Done()
-		defer m.rebuilding.Store(false)
-		m.rebuildMu.Lock()
-		defer m.rebuildMu.Unlock()
-		if m.rebuildGate != nil {
-			<-m.rebuildGate
+// Stats aggregates the per-slot rebuild activity; see MaintainStats.
+func (m *Maintainer) Stats() MaintainStats {
+	var st MaintainStats
+	for s, ss := range m.ShardStats() {
+		st.Rebuilds += ss.Rebuilds
+		st.RebuildErrors += ss.RebuildErrors
+		st.RebuildInFlight = st.RebuildInFlight || ss.RebuildInFlight
+		st.Quarantines += ss.Quarantines
+		st.Quarantined = st.Quarantined || ss.Quarantined
+		st.Retunes += ss.Retunes
+		if s == 0 {
+			st.Tau = ss.Tau
+		} else if st.Tau != ss.Tau {
+			st.Tau = 0
 		}
-		fail := func() {
-			m.rebuildErrs.Add(1)
-			if onDone != nil {
-				onDone(false)
-			}
+		if ss.LastRebuildAt.After(st.LastRebuildAt) {
+			st.LastRebuildAt, st.LastRebuildWall = ss.LastRebuildAt, ss.LastRebuildWall
 		}
-		start := time.Now()
-		ds, cands, err := prepare()
-		if err != nil {
-			fail()
-			return
-		}
-		prof := BuildProfile(ds, cands, wl, k)
-		cfg := m.cfg
-		cfg.Tau = tau
-		eng, err := NewEngine(m.pf, prof, cands, cfg)
-		if err != nil {
-			fail()
-			return
-		}
-		m.fold.Store(&foldState{ds: ds, cands: cands})
-		m.install(eng, time.Since(start), tau, false)
-		if onDone != nil {
-			onDone(true)
-		}
-	}()
-	return true
-}
-
-// backgroundRebuild builds a replacement engine off the search path and
-// swaps it in. A failed build only bumps RebuildErrors: the previous engine
-// keeps serving and in-flight searches never observe the failure.
-func (m *Maintainer) backgroundRebuild(wl [][]float32, k, tau int, retuned bool) {
-	defer m.rebuilding.Store(false)
-	m.rebuildMu.Lock()
-	defer m.rebuildMu.Unlock()
-	if m.rebuildGate != nil {
-		<-m.rebuildGate
 	}
-	start := time.Now()
-	eng, err := m.build(wl, k, tau)
-	if err != nil {
-		m.rebuildErrs.Add(1)
-		return
-	}
-	m.install(eng, time.Since(start), tau, retuned)
-}
-
-// install publishes a freshly built engine, records the rebuild timing and
-// resets the drift baseline and the watchdog window — the fresh cache's
-// behavior is what both detectors must judge from now on.
-func (m *Maintainer) install(eng *Engine, wall time.Duration, tau int, retuned bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.eng.Store(eng)
-	m.rebuilds.Add(1)
-	m.tau.Store(int64(tau))
-	if retuned {
-		m.retunes.Add(1)
-	}
-	m.lastWallNs.Store(int64(wall))
-	m.lastAtNs.Store(time.Now().UnixNano())
-	m.drift.resetAfterInstall()
-	m.adapt.reset()
-	if m.monitor != nil {
-		m.monitor.NoteInstall(tau, retuned)
-	}
-}
-
-// ForceRebuild rebuilds synchronously from the current window (the paper's
-// "e.g., daily" scheduled variant; call it from a timer if preferred) and
-// reports any build error to the caller.
-func (m *Maintainer) ForceRebuild(k int) error {
-	m.mu.Lock()
-	wl := m.drift.snapshot()
-	m.mu.Unlock()
-	if len(wl) == 0 {
-		return fmt.Errorf("core: no recorded queries to rebuild from")
-	}
-	m.rebuildMu.Lock()
-	defer m.rebuildMu.Unlock()
-	start := time.Now()
-	eng, err := m.build(wl, k, m.curTau())
-	if err != nil {
-		m.rebuildErrs.Add(1)
-		return err
-	}
-	m.install(eng, time.Since(start), m.curTau(), false)
-	return nil
+	return st
 }

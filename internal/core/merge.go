@@ -1,7 +1,5 @@
 package core
 
-import "context"
-
 // MergePoint is one delta-index point folded into a merged search: a point
 // inserted after the engine was built, carried with its exact vector. ID is
 // the dataset-global identifier the point will keep after compaction, so
@@ -41,23 +39,13 @@ func (mg *Merge) extraLive(ex *MergePoint, horizon int32) bool {
 	return mg.Deleted == nil || !mg.Deleted(ex.ID)
 }
 
-// SearchMerged is SearchMergedIntoCtx with a background context and a fresh
-// result slice.
-func (e *Engine) SearchMerged(q []float32, k int, mg *Merge) ([]int, QueryStats, error) {
-	return e.SearchMergedIntoCtx(context.Background(), q, k, nil, mg)
-}
-
-// SearchMergedIntoCtx runs Algorithm 1 over the base candidates with the
-// live-ingest overlay folded in; a nil mg degenerates to SearchIntoCtx. See
-// Merge for the exact masking and scoring semantics.
-func (e *Engine) SearchMergedIntoCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
-	return e.searchIntoCtx(ctx, q, k, dst, mg)
-}
-
 // NumPoints returns the number of base points the engine was built over —
 // the horizon below which merged-search extras are treated as already
 // compacted.
 func (e *Engine) NumPoints() int { return e.ds.Len() }
+
+// Dim returns the dataset dimensionality.
+func (e *Engine) Dim() int { return e.ds.Dim }
 
 // EncodePoint quantizes p through the engine's live histogram into a packed
 // HFF code, or returns nil when the method keeps no per-point codes

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -107,7 +108,7 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 
 			for _, q := range w.qtest {
 				// No tombstones: base+extras vs plain folded search.
-				got, _, err := w.base.SearchMerged(q, k, &Merge{Extra: w.extras})
+				got, _, err := w.base.SearchCtx(context.Background(), q, k, nil, &Merge{Extra: w.extras})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,11 +119,11 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 				idsEqual(t, method, "no-tombs", got, want)
 
 				// With tombstones.
-				got, _, err = w.base.SearchMerged(q, k, fullOverlay)
+				got, _, err = w.base.SearchCtx(context.Background(), q, k, nil, fullOverlay)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, err = w.folded.SearchMerged(q, k, tombsOnly)
+				want, _, err = w.folded.SearchCtx(context.Background(), q, k, nil, tombsOnly)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,7 +137,7 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 				// Horizon skip: handing the folded engine the full overlay —
 				// extras it already contains — must change nothing. This is
 				// what makes the overlay safe across an RCU engine swap.
-				hz, _, err := w.folded.SearchMerged(q, k, fullOverlay)
+				hz, _, err := w.folded.SearchCtx(context.Background(), q, k, nil, fullOverlay)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -161,7 +162,7 @@ func TestMergedSearchRandomInterleavings(t *testing.T) {
 		deleted := func(id int32) bool { _, ok := tombs[id]; return ok }
 		mg := &Merge{Deleted: deleted, Extra: w.extras[:inserted]}
 		for _, q := range w.qtest[:6] {
-			got, _, err := w.base.SearchMerged(q, k, mg)
+			got, _, err := w.base.SearchCtx(context.Background(), q, k, nil, mg)
 			if err != nil {
 				t.Fatal(err)
 			}

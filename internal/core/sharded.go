@@ -56,16 +56,16 @@ type ShardSpec struct {
 }
 
 // shardUnit is one shard's mutable slot inside the router. The engine
-// pointer is RCU-swapped by the sharded maintainer; the point file and id
-// maps are immutable for the system's lifetime, so an in-flight query keeps
+// pointer is RCU-swapped by the maintainer; the point file, sub-dataset and
+// id map are immutable for the router's lifetime, so an in-flight query keeps
 // fetching from the same file no matter how often the cache rebuilds.
 type shardUnit struct {
-	eng       atomic.Pointer[Engine]
-	pf        *disk.PointFile
-	globalIDs []int32
+	eng atomic.Pointer[Engine]
+	ShardSpec
 
-	// agg survives engine swaps, unlike the per-engine aggregate.
-	agg atomicAggregate
+	// agg survives engine swaps (and, through refold, router swaps), unlike
+	// the per-engine aggregate.
+	agg *atomicAggregate
 
 	// quarantined marks a shard whose storage failed permanently: under
 	// degraded serving its candidates are skipped without touching the file
@@ -104,20 +104,28 @@ type ShardedEngine struct {
 	degradedOK atomic.Bool
 
 	scratch sync.Pool
-	agg     atomicAggregate
+	agg     *atomicAggregate
 }
 
-// NewShardedEngine builds the shared model once from the global profile,
-// then a full engine per shard over the shard's point file with the
-// shard-local slice of the global HFF content (LRU budgets are split
-// proportionally to shard size).
-func NewShardedEngine(specs []ShardSpec, owner, local []int32, prof *Profile, cands CandidateFunc, cfg Config) (*ShardedEngine, error) {
+// SingleShard describes a dataset served whole as the one unit of a router:
+// the system's own point file under identity id maps — no partition, no
+// second file. It is the N = 1 input of NewShardedEngine and NewMaintainer.
+func SingleShard(pf *disk.PointFile, ds *dataset.Dataset) (specs []ShardSpec, owner, local []int32) {
+	n := ds.Len()
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return []ShardSpec{{PF: pf, DS: ds, GlobalIDs: ids}}, make([]int32, n), ids
+}
+
+// newRouter validates a shard layout and assembles the router around it —
+// id maps, units without engines, fetch-unit offsets, scratch pool. Every
+// construction path (NewShardedEngine, LoadShardedEngine, refold) starts
+// here and then installs one engine per unit.
+func newRouter(specs []ShardSpec, owner, local []int32, cands CandidateFunc) (*ShardedEngine, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: sharded engine needs at least one shard")
-	}
-	n := prof.DS.Len()
-	if len(owner) != n || len(local) != n {
-		return nil, fmt.Errorf("core: owner/local maps cover %d/%d ids, dataset has %d", len(owner), len(local), n)
 	}
 	total := 0
 	for s, spec := range specs {
@@ -129,23 +137,72 @@ func NewShardedEngine(specs []ShardSpec, owner, local []int32, prof *Profile, ca
 		}
 		total += spec.DS.Len()
 	}
-	if total != n {
-		return nil, fmt.Errorf("core: shards hold %d points, dataset has %d", total, n)
+	if len(owner) != total || len(local) != total {
+		return nil, fmt.Errorf("core: owner/local maps cover %d/%d ids, shards hold %d points", len(owner), len(local), total)
+	}
+	se := &ShardedEngine{
+		cands:    cands,
+		owner:    owner,
+		local:    local,
+		pagesPer: specs[0].PF.PagesPerPoint(),
+		tio:      specs[0].PF.Tio(),
+		unitBase: make([]int32, len(specs)+1),
+		agg:      new(atomicAggregate),
+	}
+	for s, spec := range specs {
+		se.units = append(se.units, &shardUnit{ShardSpec: spec, agg: new(atomicAggregate)})
+		maxPage, err := spec.PF.PageOf(spec.DS.Len() - 1)
+		if err != nil {
+			return nil, err
+		}
+		se.unitBase[s+1] = se.unitBase[s] + int32(maxPage) + 1
+	}
+	se.scratch.New = func() any { return newRouterScratch(se) }
+	return se, nil
+}
+
+// refold returns a router over the same single point file after a live-ingest
+// compaction extended it to ds: fresh identity id maps and the candidate
+// generator rebuilt over the fold, with the configuration, the degraded-mode
+// switch and the accumulated statistics carried over. Its unit has no engine
+// yet — the maintainer installs one and then publishes the router, so the
+// Phase-1 generator, the id horizon and the engine change in one atomic swap.
+func (se *ShardedEngine) refold(ds *dataset.Dataset, cands CandidateFunc) (*ShardedEngine, error) {
+	if len(se.units) != 1 {
+		return nil, fmt.Errorf("core: compaction needs a 1-unit router, have %d units", len(se.units))
+	}
+	old := se.units[0]
+	specs, owner, local := SingleShard(old.PF, ds)
+	ne, err := newRouter(specs, owner, local, cands)
+	if err != nil {
+		return nil, err
+	}
+	ne.cfg = se.cfg
+	ne.degradedOK.Store(se.degradedOK.Load())
+	ne.agg = se.agg
+	ne.units[0].agg = old.agg
+	ne.units[0].fetchFailures.Store(old.fetchFailures.Load())
+	return ne, nil
+}
+
+// NewShardedEngine builds the shared model once from the global profile,
+// then a full engine per shard over the shard's point file with the
+// shard-local slice of the global HFF content (LRU budgets are split
+// proportionally to shard size).
+func NewShardedEngine(specs []ShardSpec, owner, local []int32, prof *Profile, cands CandidateFunc, cfg Config) (*ShardedEngine, error) {
+	se, err := newRouter(specs, owner, local, cands)
+	if err != nil {
+		return nil, err
+	}
+	if n := prof.DS.Len(); len(owner) != n {
+		return nil, fmt.Errorf("core: shards hold %d points, dataset has %d", len(owner), n)
 	}
 
 	model, content, capacity, err := newModel(prof, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	se := &ShardedEngine{
-		cands:    cands,
-		cfg:      model.cfg, // withDefaults applied, CVA τ recorded
-		owner:    owner,
-		local:    local,
-		pagesPer: specs[0].PF.PagesPerPoint(),
-		tio:      specs[0].PF.Tio(),
-	}
+	se.cfg = model.cfg // withDefaults applied, CVA τ recorded
 
 	// The shard-local slices of the global HFF content, preserving the
 	// global rank order inside each shard.
@@ -177,21 +234,8 @@ func NewShardedEngine(specs []ShardSpec, owner, local []int32, prof *Profile, ca
 		}
 		e.fillCache(localContent[s], capS)
 		e.finalize()
-		u := &shardUnit{pf: spec.PF, globalIDs: spec.GlobalIDs}
-		u.eng.Store(e)
-		se.units = append(se.units, u)
+		se.swapEngine(s, e)
 	}
-
-	se.unitBase = make([]int32, len(specs)+1)
-	for s, spec := range specs {
-		maxPage, err := spec.PF.PageOf(spec.DS.Len() - 1)
-		if err != nil {
-			return nil, err
-		}
-		se.unitBase[s+1] = se.unitBase[s] + int32(maxPage) + 1
-	}
-
-	se.scratch.New = func() any { return newRouterScratch(se) }
 	return se, nil
 }
 
@@ -217,8 +261,8 @@ func splitCapacity(capacity int, specs []ShardSpec) []int {
 
 // ShardCandidates returns the global candidate generator filtered to shard
 // s, with ids translated to the shard's local space — what a standalone
-// engine over that shard would see. The sharded maintainer profiles rebuild
-// windows through it.
+// engine over that shard would see. The maintainer profiles rebuild windows
+// through it.
 func (se *ShardedEngine) ShardCandidates(s int) CandidateFunc {
 	return func(q []float32, k int) ([]int, float64) {
 		ids, dmax := se.cands(q, k)
@@ -235,12 +279,27 @@ func (se *ShardedEngine) ShardCandidates(s int) CandidateFunc {
 // Shards returns the shard count.
 func (se *ShardedEngine) Shards() int { return len(se.units) }
 
+// Dim returns the dataset dimensionality.
+func (se *ShardedEngine) Dim() int { return se.units[0].PF.Dim() }
+
+// HomeShard routes an identifier to its owning shard: base points belong to
+// the shard holding their slot, points beyond the router's horizon (live
+// delta points) to the shard that would receive them round-robin when a
+// future fold re-partitions.
+func (se *ShardedEngine) HomeShard(id int) int {
+	if id >= 0 && id < len(se.owner) {
+		return int(se.owner[id])
+	}
+	return id % len(se.units)
+}
+
 // Engine returns shard s's current engine (the RCU slot's value at call
 // time).
 func (se *ShardedEngine) Engine(s int) *Engine { return se.units[s].eng.Load() }
 
 // swapEngine installs a freshly built engine into shard s. Callers (the
-// sharded maintainer) must build eng over the same point file and id map.
+// constructors and the maintainer) must build eng over the unit's point file
+// and id map.
 func (se *ShardedEngine) swapEngine(s int, eng *Engine) { se.units[s].eng.Store(eng) }
 
 // SetDegradedOK enables (or disables) degraded-mode serving: completing
@@ -264,7 +323,7 @@ func (se *ShardedEngine) Quarantined(s int) bool { return se.units[s].quarantine
 // backing device.
 func (se *ShardedEngine) SetRetry(rp disk.RetryPolicy) {
 	for _, u := range se.units {
-		u.pf.SetRetry(rp)
+		u.PF.SetRetry(rp)
 	}
 }
 
@@ -273,7 +332,7 @@ func (se *ShardedEngine) SetRetry(rp disk.RetryPolicy) {
 func (se *ShardedEngine) DiskStats() disk.Stats {
 	var t disk.Stats
 	for _, u := range se.units {
-		s := u.pf.Stats()
+		s := u.PF.Stats()
 		t.PageReads += s.PageReads
 		t.PageWrites += s.PageWrites
 		t.Retries += s.Retries
@@ -400,8 +459,8 @@ func newRouterScratch(se *ShardedEngine) *routerScratch {
 		errs:          make([]error, n),
 		quar:          make([]bool, n),
 		failed:        make([]bool, n),
-		fetchBuf:      make([]float32, se.units[0].pf.Dim()),
-		codes:         make([]int, se.units[0].pf.Dim()),
+		fetchBuf:      make([]float32, se.Dim()),
+		codes:         make([]int, se.Dim()),
 		exactByID:     make(map[int32][]float32),
 	}
 	rs.fetch = rs.fetchPoint
@@ -567,7 +626,7 @@ func (se *ShardedEngine) phase12(ctx context.Context, rs *routerScratch, q []flo
 		}
 		// Gather: write each scored state back to its original global
 		// position, translating the id to global space.
-		gids := se.units[s].globalIDs
+		gids := se.units[s].GlobalIDs
 		for i := range sids {
 			c := sc.cs[i]
 			c.id = gids[c.id]
@@ -672,43 +731,31 @@ func (se *ShardedEngine) phase12(ctx context.Context, rs *routerScratch, q []flo
 	return results, remaining, nil
 }
 
+// shardSink receives one served query's global and per-shard statistics
+// (perShard is len Shards(), valid only for the duration of the call). The
+// maintainer feeds its per-slot drift windows through it.
+type shardSink func(q []float32, st *QueryStats, perShard []QueryStats)
+
 // Search runs the scatter-gather Algorithm 1; see Engine.Search.
 func (se *ShardedEngine) Search(q []float32, k int) ([]int, QueryStats, error) {
-	return se.SearchIntoCtx(context.Background(), q, k, nil)
-}
-
-// SearchCtx is Search under a request context; see Engine.SearchCtx.
-func (se *ShardedEngine) SearchCtx(ctx context.Context, q []float32, k int) ([]int, QueryStats, error) {
-	return se.SearchIntoCtx(ctx, q, k, nil)
+	return se.search(context.Background(), q, k, nil, nil, nil)
 }
 
 // SearchInto is Search appending result identifiers to dst.
 func (se *ShardedEngine) SearchInto(q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return se.SearchIntoCtx(context.Background(), q, k, dst)
+	return se.search(context.Background(), q, k, dst, nil, nil)
 }
 
-// SearchIntoCtx is the sharded SearchInto under a request context. Results
-// are bit-identical to the unsharded engine's.
-func (se *ShardedEngine) SearchIntoCtx(ctx context.Context, q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return se.searchMergedIntoCtxStats(ctx, q, k, dst, nil, nil)
+// SearchCtx is the full-signature sharded search: SearchInto under a request
+// context with the optional live-ingest overlay (see Merge) folded into the
+// scatter-gather pipeline. Results are bit-identical to Engine.SearchCtx.
+func (se *ShardedEngine) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
+	return se.search(ctx, q, k, dst, mg, nil)
 }
 
-// SearchMergedIntoCtx is SearchIntoCtx with the live-ingest overlay folded
-// into the scatter-gather pipeline; see Merge.
-func (se *ShardedEngine) SearchMergedIntoCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
-	return se.searchMergedIntoCtxStats(ctx, q, k, dst, nil, mg)
-}
-
-// searchIntoCtxStats is SearchIntoCtx that additionally copies the query's
-// per-shard statistics into perShard (len Shards()) when non-nil — the
-// sharded maintainer feeds its per-shard drift windows from them.
-func (se *ShardedEngine) searchIntoCtxStats(ctx context.Context, q []float32, k int, dst []int, perShard []QueryStats) ([]int, QueryStats, error) {
-	return se.searchMergedIntoCtxStats(ctx, q, k, dst, perShard, nil)
-}
-
-// searchMergedIntoCtxStats is the full scatter-gather pipeline with both the
-// per-shard statistics sink and the optional live-ingest overlay.
-func (se *ShardedEngine) searchMergedIntoCtxStats(ctx context.Context, q []float32, k int, dst []int, perShard []QueryStats, mg *Merge) ([]int, QueryStats, error) {
+// search is the scatter-gather pipeline behind every entry point; a non-nil
+// sink additionally receives the served query's per-shard statistics.
+func (se *ShardedEngine) search(ctx context.Context, q []float32, k int, dst []int, mg *Merge, sink shardSink) ([]int, QueryStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -758,37 +805,38 @@ func (se *ShardedEngine) searchMergedIntoCtxStats(ctx context.Context, q []float
 		}
 	}
 
-	se.agg.Add(rs.st)
-	for s := range se.units {
-		if rs.shardSt[s].Candidates > 0 || rs.shardSt[s].Fetched > 0 {
-			rs.shardSt[s].SimulatedIO = time.Duration(rs.shardSt[s].PageReads) * se.tio
-			se.units[s].agg.Add(rs.shardSt[s])
-		}
-	}
-	if perShard != nil {
-		copy(perShard, rs.shardSt)
-	}
+	rs.account(q, sink)
 	return results, rs.st, nil
 }
 
-// SearchBatch is the sharded batch search; see SearchBatchCtx.
-func (se *ShardedEngine) SearchBatch(qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return se.SearchBatchCtx(context.Background(), qs, k)
+// account folds one served query into the router's, the engaged units' and
+// their serving engines' aggregates, then hands the statistics to sink.
+func (rs *routerScratch) account(q []float32, sink shardSink) {
+	se := rs.se
+	se.agg.Add(rs.st)
+	for s, u := range se.units {
+		if sst := &rs.shardSt[s]; sst.Candidates > 0 || sst.Fetched > 0 {
+			sst.SimulatedIO = time.Duration(sst.PageReads) * se.tio
+			u.agg.Add(*sst)
+			rs.engs[s].agg.Add(*sst)
+		}
+	}
+	if sink != nil {
+		sink(q, &rs.st, rs.shardSt)
+	}
 }
 
-// SearchBatchCtx is Engine.SearchBatchCtx scatter-gathered across shards:
+// SearchBatch is Engine.SearchBatch scatter-gathered across shards:
 // per-query Phase 1+2 through the router, then one cross-query coalesced
 // refinement whose fetch units are (shard, local unit) pairs. Because the
 // partitioner is fetch-unit granular, those units biject with the unsharded
 // file's pages and per-query PageReads match the unsharded batch exactly.
-func (se *ShardedEngine) SearchBatchCtx(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return se.searchBatchCtxStats(ctx, qs, k, nil)
+func (se *ShardedEngine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
+	return se.searchBatch(ctx, qs, k, nil)
 }
 
-// searchBatchCtxStats is SearchBatchCtx that additionally copies per-query
-// per-shard statistics into perShard (perShard[j][s], len(qs) × Shards())
-// when non-nil.
-func (se *ShardedEngine) searchBatchCtxStats(ctx context.Context, qs [][]float32, k int, perShard [][]QueryStats) ([][]int, []QueryStats, error) {
+// searchBatch is SearchBatch with the per-query statistics sink of search.
+func (se *ShardedEngine) searchBatch(ctx context.Context, qs [][]float32, k int, sink shardSink) ([][]int, []QueryStats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
 	}
@@ -837,7 +885,7 @@ func (se *ShardedEngine) searchBatchCtxStats(ctx context.Context, qs [][]float32
 				continue // neutralized candidate of a failed shard
 			}
 			lid := int(se.local[c.id])
-			page, err := se.units[s].pf.PageOf(lid)
+			page, err := se.units[s].PF.PageOf(lid)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -896,7 +944,7 @@ func (se *ShardedEngine) searchBatchCtxStats(ctx context.Context, qs [][]float32
 				e.admitLRU(lid, pts[i], rs.codes)
 			}
 		}
-		gids := se.units[s].globalIDs
+		gids := se.units[s].GlobalIDs
 		out := make([]int32, len(lids))
 		for i, lid := range lids {
 			out[i] = gids[lid]
@@ -923,16 +971,7 @@ func (se *ShardedEngine) searchBatchCtxStats(ctx context.Context, qs [][]float32
 				rs.st.FailedShards = append(rs.st.FailedShards, s)
 			}
 		}
-		se.agg.Add(rs.st)
-		for s := range se.units {
-			if rs.shardSt[s].Candidates > 0 || rs.shardSt[s].Fetched > 0 {
-				rs.shardSt[s].SimulatedIO = time.Duration(rs.shardSt[s].PageReads) * se.tio
-				se.units[s].agg.Add(rs.shardSt[s])
-			}
-		}
-		if perShard != nil {
-			copy(perShard[j], rs.shardSt)
-		}
+		rs.account(qs[j], sink)
 		sts[j] = rs.st
 	}
 	return results, sts, nil

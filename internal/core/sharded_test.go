@@ -7,9 +7,7 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"exploitbit/internal/dataset"
 	"exploitbit/internal/disk"
@@ -66,18 +64,24 @@ func buildTieWorld(t testing.TB, n, dim int, seed int64) *world {
 	return &world{ds: ds, pf: pf, ix: ix, prof: prof, wl: wl, qtest: qtest}
 }
 
-// buildShardSpecs partitions the world's dataset and materializes one point
-// file per shard (same page size and Tio as the world's file).
+// buildShardSpecs partitions the world's dataset; see shardSpecs.
 func buildShardSpecs(t testing.TB, w *world, n int, layout shard.Layout) ([]ShardSpec, []int32, []int32) {
 	t.Helper()
-	p, err := shard.Build(w.ds, n, layout, 4096)
+	return shardSpecs(t, w.ds, n, layout)
+}
+
+// shardSpecs partitions ds and materializes one point file per shard (4 KiB
+// pages and zero Tio, like the test worlds' own files).
+func shardSpecs(t testing.TB, ds *dataset.Dataset, n int, layout shard.Layout) ([]ShardSpec, []int32, []int32) {
+	t.Helper()
+	p, err := shard.Build(ds, n, layout, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	specs := make([]ShardSpec, 0, p.N)
 	for s := 0; s < p.N; s++ {
-		sds := p.SubDataset(w.ds, s)
+		sds := p.SubDataset(ds, s)
 		pf, err := disk.BuildPointFile(filepath.Join(dir, fmt.Sprintf("pf%d", s)), sds, nil, 4096, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -148,11 +152,11 @@ func TestShardedSearchBitIdentical(t *testing.T) {
 				}
 				for _, k := range []int{1, 10} {
 					for qi, q := range w.qtest {
-						wantIDs, wantSt, err := ref.SearchCtx(context.Background(), q, k)
+						wantIDs, wantSt, err := ref.SearchCtx(context.Background(), q, k, nil, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotIDs, gotSt, err := se.SearchCtx(context.Background(), q, k)
+						gotIDs, gotSt, err := se.SearchCtx(context.Background(), q, k, nil, nil)
 						if err != nil {
 							t.Fatalf("%s/%s/%d shards, q%d k%d: %v", m, layout, n, qi, k, err)
 						}
@@ -187,11 +191,11 @@ func TestShardedBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantIDs, wantSts, err := ref.SearchBatchCtx(context.Background(), w.qtest, k)
+			wantIDs, wantSts, err := ref.SearchBatch(context.Background(), w.qtest, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotIDs, gotSts, err := se.SearchBatchCtx(context.Background(), w.qtest, k)
+			gotIDs, gotSts, err := se.SearchBatch(context.Background(), w.qtest, k)
 			if err != nil {
 				t.Fatalf("%s/%d shards: %v", layout, n, err)
 			}
@@ -302,143 +306,5 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if _, err := LoadShardedEngine(specs, owner, local, candFunc(w.ix), bytes.NewReader(v1.Bytes())); err == nil {
 			t.Fatal("LoadShardedEngine accepted a single-engine (v1) snapshot")
 		}
-	}
-}
-
-// TestShardedMaintainerRebuildDuringSearches hammers concurrent searches
-// against one shard's RCU rebuild (run under -race in CI): the swap must
-// never disturb in-flight queries or the other shards, and results must stay
-// correct (the same set as before the rebuild, since the workload is
-// unchanged).
-func TestShardedMaintainerRebuildDuringSearches(t *testing.T) {
-	w := buildWorld(t, 1203, 16, 9)
-	specs, owner, local := buildShardSpecs(t, w, 3, shard.RoundRobin)
-	gate := make(chan struct{})
-	m, err := NewShardedMaintainer(specs, owner, local, w.prof, candFunc(w.ix), 10,
-		Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6},
-		MaintainOptions{RebuildGate: gate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	// Seed every shard's drift window so the rebuild has a workload.
-	for _, q := range w.qtest {
-		if _, _, err := m.Search(q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				q := w.qtest[(g+i)%len(w.qtest)]
-				if _, _, err := m.Search(q, 10); err != nil {
-					select {
-					case errc <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(g)
-	}
-
-	if !m.RebuildShardAsync(1) {
-		t.Fatal("shard 1 rebuild did not launch")
-	}
-	close(gate) // release the parked build under full search load
-
-	deadline := time.After(10 * time.Second)
-	for m.ShardStats()[1].Rebuilds == 0 {
-		select {
-		case err := <-errc:
-			t.Fatal(err)
-		case <-deadline:
-			t.Fatal("shard 1 rebuild did not complete")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-
-	st := m.ShardStats()
-	if st[1].Rebuilds != 1 || st[0].Rebuilds != 0 || st[2].Rebuilds != 0 {
-		t.Fatalf("rebuild counts = [%d %d %d], want [0 1 0]", st[0].Rebuilds, st[1].Rebuilds, st[2].Rebuilds)
-	}
-	if st[1].LastRebuildWall <= 0 || st[1].LastRebuildAt.IsZero() {
-		t.Fatalf("shard 1 last-rebuild telemetry missing: wall=%v at=%v", st[1].LastRebuildWall, st[1].LastRebuildAt)
-	}
-	// Post-rebuild searches still serve correct results.
-	for _, q := range w.qtest {
-		ids, _, err := m.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkKNN(t, w, q, ids, 10)
-	}
-}
-
-// TestShardedMaintainerForceRebuildStats exercises the synchronous per-shard
-// rebuild seam and the aggregate Stats rollup (wall clock + timestamp).
-func TestShardedMaintainerForceRebuildStats(t *testing.T) {
-	w := buildWorld(t, 1100, 16, 11)
-	specs, owner, local := buildShardSpecs(t, w, 3, shard.RoundRobin)
-	m, err := NewShardedMaintainer(specs, owner, local, w.prof, candFunc(w.ix), 10,
-		Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6}, MaintainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	if err := m.ForceShardRebuild(2); err == nil {
-		t.Fatal("ForceShardRebuild with an empty window did not fail")
-	}
-	for _, q := range w.qtest {
-		if _, _, err := m.Search(q, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := time.Now()
-	if err := m.ForceShardRebuild(2); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.Rebuilds != 1 || st.RebuildErrors != 0 {
-		t.Fatalf("aggregate stats = %+v, want 1 rebuild", st)
-	}
-	if st.LastRebuildWall <= 0 {
-		t.Fatalf("aggregate wall = %v, want > 0", st.LastRebuildWall)
-	}
-	if st.LastRebuildAt.Before(before) {
-		t.Fatalf("aggregate timestamp %v predates the rebuild start %v", st.LastRebuildAt, before)
-	}
-	per := m.ShardStats()
-	if per[2].Rebuilds != 1 || per[0].Rebuilds != 0 || per[1].Rebuilds != 0 {
-		t.Fatalf("per-shard rebuilds = [%d %d %d], want [0 0 1]", per[0].Rebuilds, per[1].Rebuilds, per[2].Rebuilds)
-	}
-	// The rebuilt shard serves from a shard-local histogram, so per-query
-	// stats may shift — but result correctness is non-negotiable.
-	for _, q := range w.qtest {
-		ids, _, err := m.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkKNN(t, w, q, ids, 10)
 	}
 }

@@ -206,21 +206,9 @@ func LoadEngine(pf *disk.PointFile, ds *dataset.Dataset, cands CandidateFunc, r 
 // over the same shard layout it was written with: specs, owner and local
 // must come from the identical partition (same shard count and membership).
 func LoadShardedEngine(specs []ShardSpec, owner, local []int32, cands CandidateFunc, r io.Reader) (*ShardedEngine, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("core: sharded engine needs at least one shard")
-	}
-	total := 0
-	for s, spec := range specs {
-		if spec.PF == nil || spec.DS == nil {
-			return nil, fmt.Errorf("core: shard %d is missing its point file or dataset", s)
-		}
-		if len(spec.GlobalIDs) != spec.DS.Len() {
-			return nil, fmt.Errorf("core: shard %d id map covers %d of %d points", s, len(spec.GlobalIDs), spec.DS.Len())
-		}
-		total += spec.DS.Len()
-	}
-	if len(owner) != total || len(local) != total {
-		return nil, fmt.Errorf("core: owner/local maps cover %d/%d ids, shards hold %d points", len(owner), len(local), total)
+	se, err := newRouter(specs, owner, local, cands)
+	if err != nil {
+		return nil, err
 	}
 
 	br := bufio.NewReader(r)
@@ -242,13 +230,6 @@ func LoadShardedEngine(specs []ShardSpec, owner, local []int32, cands CandidateF
 		return nil, fmt.Errorf("core: snapshot holds %d shards, layout has %d", count, len(specs))
 	}
 
-	se := &ShardedEngine{
-		cands:    cands,
-		owner:    owner,
-		local:    local,
-		pagesPer: specs[0].PF.PagesPerPoint(),
-		tio:      specs[0].PF.Tio(),
-	}
 	for s, spec := range specs {
 		e, err := readSnapshotBody(br, spec.PF, spec.DS, se.ShardCandidates(s))
 		if err != nil {
@@ -257,21 +238,9 @@ func LoadShardedEngine(specs []ShardSpec, owner, local []int32, cands CandidateF
 		// The body was written in local id space with a localized MD
 		// assignment, so the loaded engine's model is shard-local and needs
 		// no id translation (globalIDs stays nil).
-		u := &shardUnit{pf: spec.PF, globalIDs: spec.GlobalIDs}
-		u.eng.Store(e)
-		se.units = append(se.units, u)
+		se.swapEngine(s, e)
 	}
 	se.cfg = se.Engine(0).cfg
-
-	se.unitBase = make([]int32, len(specs)+1)
-	for s, spec := range specs {
-		maxPage, err := spec.PF.PageOf(spec.DS.Len() - 1)
-		if err != nil {
-			return nil, err
-		}
-		se.unitBase[s+1] = se.unitBase[s] + int32(maxPage) + 1
-	}
-	se.scratch.New = func() any { return newRouterScratch(se) }
 	return se, nil
 }
 

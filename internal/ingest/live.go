@@ -25,18 +25,18 @@ import (
 var ErrUnknownID = errors.New("ingest: unknown point id")
 
 // Searcher is the read side Live serves through: any engine that can run a
-// merged Algorithm 1 search. *core.Engine, *core.Maintainer,
-// *core.ShardedEngine and *core.ShardedMaintainer all implement it.
+// merged Algorithm 1 search. *core.Engine, *core.ShardedEngine and
+// *core.Maintainer all implement it.
 type Searcher interface {
-	SearchMergedIntoCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, core.QueryStats, error)
+	SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, core.QueryStats, error)
 }
 
-// Compactor launches one non-blocking RCU rebuild over a folded dataset.
-// *core.Maintainer implements it; a nil Compactor disables compaction (the
-// delta and WAL then grow until restart — the sharded deployment's mode, see
-// DESIGN.md §16).
+// Compactor launches one non-blocking RCU rebuild over a folded dataset,
+// profiled at the maintainer's own k. *core.Maintainer implements it; a nil
+// Compactor disables compaction (the delta and WAL then grow until restart —
+// the sharded deployment's mode, see DESIGN.md §17).
 type Compactor interface {
-	CompactRebuild(k int, prepare func() (*dataset.Dataset, core.CandidateFunc, error), onDone func(installed bool)) bool
+	CompactRebuild(prepare func() (*dataset.Dataset, core.CandidateFunc, error), onDone func(installed bool)) bool
 }
 
 // Config assembles a Live system.
@@ -65,8 +65,6 @@ type Config struct {
 	// Encode quantizes a new point through the live engine's histogram into
 	// an HFF code for the delta index; nil (or a nil return) records no code.
 	Encode func(p []float32) []uint64
-	// K is the workload-profile k compaction rebuilds use (default 10).
-	K int
 	// CompactThreshold is the delta point count that triggers compaction
 	// (default 4096; ignored without a Compactor).
 	CompactThreshold int
@@ -78,9 +76,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Fsync == "" {
 		cfg.Fsync = FsyncAlways
-	}
-	if cfg.K <= 0 {
-		cfg.K = 10
 	}
 	if cfg.CompactThreshold <= 0 {
 		cfg.CompactThreshold = 4096
@@ -120,6 +115,7 @@ type compactSnap struct {
 type Live struct {
 	cfg   Config
 	dom   vec.Domain
+	dim   int // immutable; fold itself is swapped by compactions
 	wal   *WAL
 	delta *Delta
 
@@ -179,6 +175,7 @@ func Open(cfg Config, rec *RecoverResult) (*Live, error) {
 	l := &Live{
 		cfg:   cfg,
 		dom:   cfg.Fold.Domain,
+		dim:   cfg.Fold.Dim,
 		wal:   wal,
 		delta: NewDelta(tombs),
 		fold:  cfg.Fold,
@@ -200,8 +197,8 @@ func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 	if l.closed.Load() {
 		return 0, fmt.Errorf("ingest: closed")
 	}
-	if len(v) != l.fold.Dim {
-		return 0, fmt.Errorf("ingest: insert dim %d, dataset dim %d", len(v), l.fold.Dim)
+	if len(v) != l.dim {
+		return 0, fmt.Errorf("ingest: insert dim %d, dataset dim %d", len(v), l.dim)
 	}
 	p := make([]float32, len(v))
 	copy(p, v)
@@ -257,7 +254,7 @@ func (l *Live) Delete(ctx context.Context, id int) error {
 // masked, delta points scored exactly, one shared k-th-bound reduction.
 // Results are id-identical to an engine rebuilt over the folded dataset.
 func (l *Live) Search(ctx context.Context, q []float32, k int, dst []int) ([]int, core.QueryStats, error) {
-	return l.cfg.Searcher.SearchMergedIntoCtx(ctx, q, k, dst, l.overlay())
+	return l.cfg.Searcher.SearchCtx(ctx, q, k, dst, l.overlay())
 }
 
 // overlay builds the merge overlay for one search, or nil when the delta is
@@ -291,7 +288,7 @@ func (l *Live) maybeCompactLocked() {
 	if dp < l.cfg.CompactThreshold && !(l.pendingTombs > 0 && tombTrig) {
 		return
 	}
-	if l.cfg.Compactor.CompactRebuild(l.cfg.K, l.prepare, l.onDone) {
+	if l.cfg.Compactor.CompactRebuild(l.prepare, l.onDone) {
 		l.compacting.Store(true)
 	}
 }
@@ -418,7 +415,7 @@ func (l *Live) ForceCompact() bool {
 	if l.compacting.Load() {
 		return false
 	}
-	if l.cfg.Compactor.CompactRebuild(l.cfg.K, l.prepare, l.onDone) {
+	if l.cfg.Compactor.CompactRebuild(l.prepare, l.onDone) {
 		l.compacting.Store(true)
 		return true
 	}

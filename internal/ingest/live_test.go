@@ -12,7 +12,7 @@ import (
 // stubSearcher records the overlay each merged search was handed.
 type stubSearcher struct{ last *core.Merge }
 
-func (s *stubSearcher) SearchMergedIntoCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, core.QueryStats, error) {
+func (s *stubSearcher) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, core.QueryStats, error) {
 	s.last = mg
 	return nil, core.QueryStats{}, nil
 }

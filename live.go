@@ -9,13 +9,13 @@
 // (OpenLive performs the RecoverFold itself; the standalone helper exists for
 // tests and tooling that inspect recovery without serving.)
 //
-// Unsharded deployments get the full loop: WAL-durable writes, merged
-// searches, and background compaction folding the delta into the point file
-// through the maintainer's ordinary RCU rebuild. Sharded deployments get
-// durable writes and merged searches with writes routed to owning shards for
-// accounting, but compaction stays disabled — the physical fold would have to
-// re-partition every shard file; restart recovery folds the WAL instead. See
-// DESIGN.md §16.
+// Every deployment serves through one Maintainer over Options.Shards units
+// and gets WAL-durable writes and merged searches, with writes attributed to
+// their home shard. Background compaction — folding the delta into the point
+// file through the maintainer's ordinary RCU rebuild — is armed iff there is
+// one unit: the physical fold of a sharded layout would have to re-partition
+// every shard file, so sharded deployments fold the WAL at restart recovery
+// instead. See DESIGN.md §17.
 
 package exploitbit
 
@@ -28,6 +28,7 @@ import (
 
 	"exploitbit/internal/core"
 	"exploitbit/internal/dataset"
+	"exploitbit/internal/disk"
 	"exploitbit/internal/ingest"
 	"exploitbit/internal/server"
 )
@@ -89,35 +90,30 @@ func RecoverFold(ds *Dataset, walDir string) (*Dataset, *RecoverResult, error) {
 	return dataset.New(ds.Name, ds.Dim, data, ds.Domain), rec, nil
 }
 
-// shardWrites tallies write routing on sharded deployments.
+// shardWrites tallies write routing per shard.
 type shardWrites struct {
 	inserts []atomic.Int64
 	deletes []atomic.Int64
 }
 
-// LiveSystem is a System serving reads and writes: the searcher (maintained,
-// sharded or both), the ingest write path, and the recovery record of the
-// startup replay.
+// LiveSystem is a System serving reads and writes: the maintainer, the
+// ingest write path, and the recovery record of the startup replay.
 type LiveSystem struct {
 	Sys  *System
 	Live *ingest.Live
-	// Maintainer is the serving maintainer on unsharded deployments (also
-	// the compactor), nil when sharded.
+	// Maintainer is the serving maintainer (and, on one-unit deployments,
+	// the compactor).
 	Maintainer *Maintainer
-	// ShardedMaintainer is the serving maintainer on sharded deployments,
-	// nil when unsharded.
-	ShardedMaintainer *ShardedMaintainer
 	// Recovery records what startup replay found.
 	Recovery *RecoverResult
 
-	baseN  int
-	writes *shardWrites // nil when unsharded
+	writes shardWrites
 }
 
 // OpenLive recovers the WAL directory, opens the system over the folded
-// dataset, builds the maintained engine (sharded when opt.Shards > 1), and
-// wires the live write path over it. cfg and mopt configure the maintainer
-// exactly as Maintained/MaintainedSharded would.
+// dataset, builds the maintainer over opt.Shards units, and wires the live
+// write path over it. cfg and mopt configure the maintainer exactly as
+// System.Maintained would.
 func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt MaintainOptions, lopt LiveOptions) (*LiveSystem, error) {
 	if lopt.WalDir == "" {
 		return nil, fmt.Errorf("exploitbit: LiveOptions.WalDir is required")
@@ -139,36 +135,28 @@ func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt Ma
 		// non-live serving path does over the base.
 		cfg.Tau = sys.OptimalTau(cfg.CacheBytes)
 	}
-	ls := &LiveSystem{Sys: sys, Recovery: rec, baseN: ds.Len()}
+	m, err := sys.Maintained(cfg, mopt)
+	if err != nil {
+		return fail(err)
+	}
+	ls := &LiveSystem{Sys: sys, Maintainer: m, Recovery: rec, writes: shardWrites{
+		inserts: make([]atomic.Int64, sys.Shards()),
+		deletes: make([]atomic.Int64, sys.Shards()),
+	}}
 	icfg := ingest.Config{
 		Dir:              lopt.WalDir,
 		Fsync:            lopt.Fsync,
+		Searcher:         m,
 		Fold:             fold,
 		BaseN:            ds.Len(),
-		K:                sys.Profile.K,
 		CompactThreshold: lopt.CompactThreshold,
 		TombstoneRatio:   lopt.TombstoneRatio,
 	}
-	if opt.Shards > 1 {
-		sm, err := sys.MaintainedSharded(cfg, mopt)
-		if err != nil {
-			return fail(err)
-		}
-		ls.ShardedMaintainer = sm
-		ls.writes = &shardWrites{
-			inserts: make([]atomic.Int64, sys.Shards()),
-			deletes: make([]atomic.Int64, sys.Shards()),
-		}
-		icfg.Searcher = sm
-		// Compaction stays off: folding the delta would re-partition every
-		// shard file. Recovery folds the WAL at the next restart instead.
-	} else {
-		m, err := sys.Maintained(cfg, mopt)
-		if err != nil {
-			return fail(err)
-		}
-		ls.Maintainer = m
-		icfg.Searcher = m
+	if sys.Shards() == 1 {
+		// Compaction is armed iff N = 1: folding the delta into a sharded
+		// layout would re-partition every shard file, so sharded deployments
+		// leave it to the next restart's recovery (Maintainer.CompactRebuild
+		// refuses N > 1 for the same reason).
 		icfg.Compactor = m
 		icfg.PF = sys.PF
 		icfg.BuildCands = func(fds *dataset.Dataset) core.CandidateFunc {
@@ -185,7 +173,7 @@ func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt Ma
 	}
 	live, err := ingest.Open(icfg, rec)
 	if err != nil {
-		ls.closeSearcher()
+		m.Close()
 		return fail(err)
 	}
 	ls.Live = live
@@ -193,37 +181,23 @@ func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt Ma
 }
 
 // Insert admits one point through the live write path, attributing it to its
-// home shard on sharded deployments.
+// home shard.
 func (ls *LiveSystem) Insert(ctx context.Context, vec []float32) (int, error) {
 	id, err := ls.Live.Insert(ctx, vec)
-	if err == nil && ls.writes != nil {
-		ls.writes.inserts[ls.homeShard(id)].Add(1)
+	if err == nil {
+		ls.writes.inserts[ls.Maintainer.Sharded().HomeShard(id)].Add(1)
 	}
 	return id, err
 }
 
 // Delete tombstones one point, attributing the write to the shard that owns
-// it on sharded deployments.
+// it.
 func (ls *LiveSystem) Delete(ctx context.Context, id int) error {
 	err := ls.Live.Delete(ctx, id)
-	if err == nil && ls.writes != nil {
-		ls.writes.deletes[ls.homeShard(id)].Add(1)
+	if err == nil {
+		ls.writes.deletes[ls.Maintainer.Sharded().HomeShard(id)].Add(1)
 	}
 	return err
-}
-
-// homeShard routes an identifier to its owning shard: base points belong to
-// the shard holding their slot, delta points to the shard that will receive
-// them round-robin when a future fold re-partitions.
-func (ls *LiveSystem) homeShard(id int) int {
-	p := ls.Sys.partition
-	if p == nil {
-		return 0
-	}
-	if id >= 0 && id < len(p.Owner) {
-		return int(p.Owner[id])
-	}
-	return id % p.N
 }
 
 // Search serves one merged query through the live overlay.
@@ -231,19 +205,8 @@ func (ls *LiveSystem) Search(ctx context.Context, q []float32, k int, dst []int)
 	return ls.Live.Search(ctx, q, k, dst)
 }
 
-// Stats snapshots the write path, with per-shard routing tallies on sharded
-// deployments.
+// Stats snapshots the write path.
 func (ls *LiveSystem) Stats() LiveStats { return ls.Live.Stats() }
-
-// closeSearcher drains whichever maintainer is serving.
-func (ls *LiveSystem) closeSearcher() {
-	if ls.Maintainer != nil {
-		ls.Maintainer.Close()
-	}
-	if ls.ShardedMaintainer != nil {
-		ls.ShardedMaintainer.Close()
-	}
-}
 
 // Close shuts the write path, drains the maintainer (any in-flight compaction
 // completes or aborts with it), and releases the system.
@@ -252,7 +215,7 @@ func (ls *LiveSystem) Close() error {
 	if ls.Live != nil {
 		err = ls.Live.Close()
 	}
-	ls.closeSearcher()
+	ls.Maintainer.Close()
 	if cErr := ls.Sys.Close(); err == nil {
 		err = cErr
 	}
@@ -296,80 +259,59 @@ func wireIngestStats(ls *LiveSystem) func() server.IngestStats {
 			ReplayedRecords:      s.ReplayedRecords,
 			ReplayTruncatedBytes: s.ReplayTruncatedBytes,
 		}
-		if w := ls.writes; w != nil {
-			out.ShardWrites = make([]server.ShardWriteStat, len(w.inserts))
-			for i := range w.inserts {
-				out.ShardWrites[i] = server.ShardWriteStat{
-					Shard:   i,
-					Inserts: w.inserts[i].Load(),
-					Deletes: w.deletes[i].Load(),
-				}
+		w := &ls.writes
+		out.ShardWrites = make([]server.ShardWriteStat, len(w.inserts))
+		for i := range w.inserts {
+			out.ShardWrites[i] = server.ShardWriteStat{
+				Shard:   i,
+				Inserts: w.inserts[i].Load(),
+				Deletes: w.deletes[i].Load(),
 			}
 		}
 		return out
 	}
 }
 
-// ServeLive exposes a live system over HTTP: everything the maintained (or
-// sharded-maintained) handler serves, plus POST /insert and POST /delete and
-// the ingest telemetry block on /stats and /metrics. Searches go through the
-// merged overlay, so freshly inserted points are visible and deleted points
-// masked immediately.
+// ServeLive exposes a live system over HTTP: everything ServeMaintained
+// serves, plus POST /insert and POST /delete and the ingest telemetry block on
+// /stats and /metrics. Searches go through the merged overlay, so freshly
+// inserted points are visible and deleted points masked immediately.
 func ServeLive(ls *LiveSystem, opt ServeOptions) http.Handler {
-	dim := ls.Sys.DS.Dim
-	var h *server.Handler
-	if ls.ShardedMaintainer != nil {
-		sm := ls.ShardedMaintainer
-		h = server.New(engineSearcher{search: ls.searchCtx, batch: ls.batchCtx(sm.SearchBatchCtx)}, opt.config(dim))
-		h.SetRebuildStats(func() server.RebuildStats { return wireRebuildStats(sm.Stats()) })
-		h.SetShardStats(wireShardStats(sm.Sharded(), sm.ShardStats, sm.CostModels))
-		h.SetIOStats(wireIOStats(sm.DiskStats))
-		if adaptive := sm.CostModels(); len(adaptive) > 0 && adaptive[0] != nil {
-			h.SetCostModelStats(func() server.CostModelStats {
-				return mergeShardCostModels(sm.CostModels())
-			})
-		}
-	} else {
-		m := ls.Maintainer
-		h = server.New(engineSearcher{search: ls.searchCtx, batch: ls.batchCtx(m.SearchBatchCtx)}, opt.config(dim))
-		h.SetRebuildStats(func() server.RebuildStats { return wireRebuildStats(m.Stats()) })
-		h.SetIOStats(wireIOStats(m.DiskStats))
-		if _, ok := m.CostModel(); ok {
-			h.SetCostModelStats(func() server.CostModelStats {
-				snap, _ := m.CostModel()
-				return wireCostModel(snap)
-			})
-		}
-	}
+	m := ls.Maintainer
+	h := newHandler(liveSearcher{ls}, m.ShardAggregates, m, opt)
 	h.SetIngestor(liveIngestor{ls})
 	h.SetIngestStats(wireIngestStats(ls))
 	return h
 }
 
-// searchCtx is the engineSearcher-shaped merged search.
-func (ls *LiveSystem) searchCtx(ctx context.Context, q []float32, k int) ([]int, QueryStats, error) {
-	return ls.Live.Search(ctx, q, k, nil)
+// liveSearcher puts the live overlay in front of the maintainer for the
+// handler: single searches are merged; the overlay itself supplies mg.
+type liveSearcher struct{ ls *LiveSystem }
+
+func (s liveSearcher) Dim() int              { return s.ls.Maintainer.Dim() }
+func (s liveSearcher) DiskStats() disk.Stats { return s.ls.Maintainer.DiskStats() }
+
+func (s liveSearcher) SearchCtx(ctx context.Context, q []float32, k int, dst []int, _ *core.Merge) ([]int, QueryStats, error) {
+	return s.ls.Live.Search(ctx, q, k, dst)
 }
 
-// batchCtx wraps the underlying coalesced batch search with overlay
-// awareness: with an empty overlay the coalesced path runs untouched; with
-// live delta points or tombstones the batch degrades to per-query merged
-// searches, trading coalesced refinement I/O for correct merged results.
-func (ls *LiveSystem) batchCtx(coalesced func(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error)) func(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return func(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-		s := ls.Live.Stats()
-		if s.DeltaPoints == 0 && s.Tombstones == 0 {
-			return coalesced(ctx, qs, k)
-		}
-		ids := make([][]int, len(qs))
-		sts := make([]QueryStats, len(qs))
-		for i, q := range qs {
-			var err error
-			ids[i], sts[i], err = ls.Live.Search(ctx, q, k, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		return ids, sts, nil
+// SearchBatch is overlay-aware: with an empty overlay the maintainer's
+// coalesced batch runs untouched; with live delta points or tombstones the
+// batch degrades to per-query merged searches, trading coalesced refinement
+// I/O for correct merged results.
+func (s liveSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
+	ls := s.ls
+	if st := ls.Live.Stats(); st.DeltaPoints == 0 && st.Tombstones == 0 {
+		return ls.Maintainer.SearchBatch(ctx, qs, k)
 	}
+	ids := make([][]int, len(qs))
+	sts := make([]QueryStats, len(qs))
+	for i, q := range qs {
+		var err error
+		ids[i], sts[i], err = ls.Live.Search(ctx, q, k, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return ids, sts, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -485,7 +486,17 @@ func TestLiveSharded(t *testing.T) {
 		t.Fatalf("sharded merged search missed inserted point %d: %v", id, ids)
 	}
 
-	// Compaction never runs sharded, even far past the threshold.
+	// Compaction never runs sharded, even far past the threshold: the write
+	// path has no compactor, and the maintainer refuses the fold outright.
+	if ls.Live.ForceCompact() {
+		t.Fatal("sharded deployment accepted a forced compaction")
+	}
+	if ls.Maintainer.CompactRebuild(func() (*Dataset, core.CandidateFunc, error) {
+		t.Error("sharded maintainer ran a compaction's prepare")
+		return nil, nil, errors.New("unreachable")
+	}, nil) {
+		t.Fatal("CompactRebuild accepted a 3-unit maintainer")
+	}
 	time.Sleep(50 * time.Millisecond)
 	st := ls.Stats()
 	if st.Compactions != 0 || st.CompactInFlight {

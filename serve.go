@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"exploitbit/internal/core"
 	"exploitbit/internal/costmodel"
 	"exploitbit/internal/disk"
 	"exploitbit/internal/server"
@@ -24,17 +25,19 @@ type ServeOptions struct {
 	MaxBatch int
 }
 
-func (o ServeOptions) config(dim int) server.Config {
-	return server.Config{Dim: dim, MaxK: o.MaxK, MaxInFlight: o.MaxInFlight, MaxBatch: o.MaxBatch}
+// searcher is what every served engine type — Engine, Sharded, Maintainer,
+// and the live overlay in front of a Maintainer — gives the HTTP handler.
+type searcher interface {
+	SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, QueryStats, error)
+	SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error)
+	Dim() int
+	DiskStats() disk.Stats
 }
 
-// engineSearcher adapts an Engine (or Maintainer) to the HTTP handler. The
-// batch function enables POST /search/batch: both engines coalesce the
-// batch's refinement I/O so overlapping queries share page reads.
-type engineSearcher struct {
-	search func(ctx context.Context, q []float32, k int) ([]int, QueryStats, error)
-	batch  func(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error)
-}
+// engineSearcher adapts a searcher to the handler's wire vocabulary. The
+// batch half enables POST /search/batch: every searcher coalesces the batch's
+// refinement I/O so overlapping queries share page reads.
+type engineSearcher struct{ s searcher }
 
 func wireStats(st QueryStats) server.Stats {
 	return server.Stats{
@@ -68,13 +71,13 @@ func wireIOStats(fn func() disk.Stats) func() server.IOStats {
 	}
 }
 
-func (s engineSearcher) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
-	ids, st, err := s.search(ctx, q, k)
+func (es engineSearcher) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
+	ids, st, err := es.s.SearchCtx(ctx, q, k, nil, nil)
 	return ids, wireStats(st), err
 }
 
-func (s engineSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
-	ids, sts, err := s.batch(ctx, qs, k)
+func (es engineSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
+	ids, sts, err := es.s.SearchBatch(ctx, qs, k)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,41 +88,54 @@ func (s engineSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int) 
 	return ids, out, nil
 }
 
-// Serve returns an http.Handler exposing the engine with default lifecycle
-// options: POST /search, POST /search/batch, GET /stats, GET /metrics,
-// GET /healthz. Safe for concurrent requests; the request context is plumbed
-// into the search, so a disconnected client abandons its query before
-// refinement I/O.
-func Serve(eng *Engine, dim int) http.Handler {
-	return ServeWith(eng, dim, ServeOptions{})
-}
-
-// ServeWith is Serve with explicit lifecycle options.
-func ServeWith(eng *Engine, dim int, opt ServeOptions) http.Handler {
-	h := server.New(engineSearcher{search: eng.SearchCtx, batch: eng.SearchBatchCtx}, opt.config(dim))
-	h.SetIOStats(wireIOStats(eng.DiskStats))
-	return h
-}
-
-// ServeMaintained is Serve over a self-maintaining engine: the cache
-// rebuilds itself in the background under workload drift while requests
-// flow, and /stats carries a "maintain" object with rebuild counters.
-func ServeMaintained(m *Maintainer, dim int) http.Handler {
-	return ServeMaintainedWith(m, dim, ServeOptions{})
-}
-
-// ServeMaintainedWith is ServeMaintained with explicit lifecycle options.
-func ServeMaintainedWith(m *Maintainer, dim int, opt ServeOptions) http.Handler {
-	h := server.New(engineSearcher{search: m.SearchCtx, batch: m.SearchBatchCtx}, opt.config(dim))
-	h.SetRebuildStats(func() server.RebuildStats { return wireRebuildStats(m.Stats()) })
-	h.SetIOStats(wireIOStats(m.DiskStats))
-	if _, ok := m.CostModel(); ok {
-		h.SetCostModelStats(func() server.CostModelStats {
-			snap, _ := m.CostModel()
-			return wireCostModel(snap)
-		})
+// newHandler is the one place a searcher is wired to the HTTP handler: POST
+// /search, POST /search/batch, GET /stats, GET /metrics, GET /healthz, the io
+// block, and — when the searcher has them — the "shards" array (shards) and
+// the rebuild, per-shard maintain and cost-model telemetry (m).
+func newHandler(s searcher, shards func() []ShardAggregate, m *Maintainer, opt ServeOptions) *server.Handler {
+	h := server.New(engineSearcher{s}, server.Config{
+		Dim: s.Dim(), MaxK: opt.MaxK, MaxInFlight: opt.MaxInFlight, MaxBatch: opt.MaxBatch,
+	})
+	h.SetIOStats(wireIOStats(s.DiskStats))
+	if shards != nil {
+		h.SetShardStats(wireShardStats(shards, m))
+	}
+	if m != nil {
+		h.SetRebuildStats(func() server.RebuildStats { return wireRebuildStats(m.Stats()) })
+		if cms := m.CostModels(); cms[0] != nil {
+			// Top-level block: a cross-shard summary (counters summed, ratios
+			// averaged over shards, τ zeroed when shards disagree); the
+			// authoritative per-shard telemetry rides in the shards array.
+			h.SetCostModelStats(func() server.CostModelStats {
+				return mergeShardCostModels(m.CostModels())
+			})
+		}
 	}
 	return h
+}
+
+// Serve returns an http.Handler exposing the engine: POST /search, POST
+// /search/batch, GET /stats, GET /metrics, GET /healthz. Safe for concurrent
+// requests; the request context is plumbed into the search, so a disconnected
+// client abandons its query before refinement I/O.
+func Serve(eng *Engine, opt ServeOptions) http.Handler {
+	return newHandler(eng, nil, nil, opt)
+}
+
+// ServeSharded is Serve over a scatter-gather sharded engine: results are
+// bit-identical to the unsharded engine, and /stats and /metrics carry a
+// "shards" array with each shard's load, cache fill and I/O.
+func ServeSharded(se *Sharded, opt ServeOptions) http.Handler {
+	return newHandler(se, se.ShardAggregates, nil, opt)
+}
+
+// ServeMaintained is Serve over a self-maintaining searcher: each shard unit
+// (one, when unsharded) rebuilds its cache in the background under workload
+// drift while requests flow. /stats carries the aggregate "maintain" object
+// and every "shards" entry its own rebuild activity and, when adaptive,
+// cost-model telemetry.
+func ServeMaintained(m *Maintainer, opt ServeOptions) http.Handler {
+	return newHandler(m, m.ShardAggregates, m, opt)
 }
 
 func wireRebuildStats(st MaintainStats) server.RebuildStats {
@@ -155,19 +171,16 @@ func wireCostModel(s costmodel.MonitorSnapshot) server.CostModelStats {
 	}
 }
 
-// wireShardStats snapshots a sharded engine's per-shard blocks; maintain and
-// costModels are optional sources of per-shard rebuild activity and
-// drift-watchdog telemetry (both positional with shards).
-func wireShardStats(se *Sharded, maintain func() []MaintainStats, costModels func() []*costmodel.MonitorSnapshot) func() []server.ShardStat {
+// wireShardStats snapshots the router's per-shard blocks, joined — when a
+// maintainer serves — with each shard's rebuild activity and drift-watchdog
+// telemetry (both positional with shards).
+func wireShardStats(shards func() []ShardAggregate, m *Maintainer) func() []server.ShardStat {
 	return func() []server.ShardStat {
-		aggs := se.ShardAggregates()
+		aggs := shards()
 		var ms []MaintainStats
-		if maintain != nil {
-			ms = maintain()
-		}
 		var cms []*costmodel.MonitorSnapshot
-		if costModels != nil {
-			cms = costModels()
+		if m != nil {
+			ms, cms = m.ShardStats(), m.CostModels()
 		}
 		out := make([]server.ShardStat, len(aggs))
 		for i, a := range aggs {
@@ -203,46 +216,6 @@ func wireShardStats(se *Sharded, maintain func() []MaintainStats, costModels fun
 		}
 		return out
 	}
-}
-
-// ServeSharded is Serve over a scatter-gather sharded engine: results are
-// bit-identical to the unsharded engine, and /stats and /metrics carry a
-// "shards" array with each shard's load, cache fill and I/O.
-func ServeSharded(se *Sharded, dim int) http.Handler {
-	return ServeShardedWith(se, dim, ServeOptions{})
-}
-
-// ServeShardedWith is ServeSharded with explicit lifecycle options.
-func ServeShardedWith(se *Sharded, dim int, opt ServeOptions) http.Handler {
-	h := server.New(engineSearcher{search: se.SearchCtx, batch: se.SearchBatchCtx}, opt.config(dim))
-	h.SetShardStats(wireShardStats(se, nil, nil))
-	h.SetIOStats(wireIOStats(se.DiskStats))
-	return h
-}
-
-// ServeShardedMaintained is ServeSharded over a per-shard self-maintaining
-// engine: each shard's "shards" entry additionally carries its own rebuild
-// activity, and /stats gets the aggregate "maintain" object.
-func ServeShardedMaintained(m *ShardedMaintainer, dim int) http.Handler {
-	return ServeShardedMaintainedWith(m, dim, ServeOptions{})
-}
-
-// ServeShardedMaintainedWith is ServeShardedMaintained with explicit
-// lifecycle options.
-func ServeShardedMaintainedWith(m *ShardedMaintainer, dim int, opt ServeOptions) http.Handler {
-	h := server.New(engineSearcher{search: m.SearchCtx, batch: m.SearchBatchCtx}, opt.config(dim))
-	h.SetRebuildStats(func() server.RebuildStats { return wireRebuildStats(m.Stats()) })
-	h.SetShardStats(wireShardStats(m.Sharded(), m.ShardStats, m.CostModels))
-	h.SetIOStats(wireIOStats(m.DiskStats))
-	if adaptive := m.CostModels(); len(adaptive) > 0 && adaptive[0] != nil {
-		// Top-level block: a cross-shard summary (counters summed, ratios
-		// averaged over adaptive shards, τ zeroed when shards disagree); the
-		// authoritative per-shard telemetry rides in the shards array.
-		h.SetCostModelStats(func() server.CostModelStats {
-			return mergeShardCostModels(m.CostModels())
-		})
-	}
-	return h
 }
 
 // mergeShardCostModels folds per-shard watchdog snapshots into one summary

@@ -26,9 +26,16 @@ import (
 // of it. Run under -race it proves the admission gate, the lock-free
 // metrics, the RCU engine swap and the drain sequence share no unguarded
 // state; functionally it proves shutdown drains cleanly, the gated rebuild
-// still lands, and no request ever sees a 5xx other than admission's 503.
+// still lands, and no request ever sees a 5xx other than admission's 503 —
+// for flat maintained serving (one unit) and a real partition alike.
 func TestServeMaintainedLifecycleRace(t *testing.T) {
-	sys, qtest := smallSystem(t, C2LSH)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { serveMaintainedLifecycleRace(t, shards) })
+	}
+}
+
+func serveMaintainedLifecycleRace(t *testing.T, shards int) {
+	_, sys, qtest := shardedPair(t, shards, RoundRobin)
 	gate := make(chan struct{})
 	m, err := sys.Maintained(core.Config{
 		Method: HCO, CacheBytes: 64 << 10, Tau: 6, SmoothEps: 0.01,
@@ -36,7 +43,7 @@ func TestServeMaintainedLifecycleRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler := ServeMaintainedWith(m, sys.DS.Dim, ServeOptions{MaxInFlight: 4})
+	handler := ServeMaintained(m, ServeOptions{MaxInFlight: 4})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -65,8 +72,8 @@ func TestServeMaintainedLifecycleRace(t *testing.T) {
 			t.Fatalf("seeding search %d: code=%d err=%v", i, code, err)
 		}
 	}
-	if !m.RebuildAsync(3) {
-		t.Fatal("RebuildAsync refused")
+	if !m.RebuildShardAsync(shards - 1) {
+		t.Fatal("RebuildShardAsync refused")
 	}
 	if !m.Stats().RebuildInFlight {
 		t.Fatal("rebuild not in flight")

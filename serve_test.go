@@ -16,7 +16,7 @@ func serveFixture(t *testing.T) (http.Handler, *System, [][]float32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Serve(eng, sys.DS.Dim), sys, qtest
+	return Serve(eng, ServeOptions{}), sys, qtest
 }
 
 func postSearch(t *testing.T, srv *httptest.Server, body any) (*http.Response, map[string]any) {

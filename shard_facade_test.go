@@ -2,6 +2,7 @@ package exploitbit
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"exploitbit/internal/core"
@@ -112,29 +113,37 @@ func TestShardedFacadeSnapshot(t *testing.T) {
 	}
 }
 
-// TestShardedFacadeMaintained exercises the maintained sharded path through
-// the facade: searches serve, a forced rebuild lands, stats reflect it.
+// TestShardedFacadeMaintained exercises the maintained path through the
+// facade at one unit and at a real partition: searches serve, a forced
+// rebuild lands, stats reflect it.
 func TestShardedFacadeMaintained(t *testing.T) {
-	_, sys, qtest := shardedPair(t, 2, RoundRobin)
-	m, err := sys.MaintainedSharded(core.Config{Method: HCO, CacheBytes: 32 << 10, Tau: 6, SmoothEps: 0.01}, MaintainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	for _, q := range qtest {
-		ids, _, err := m.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != 5 {
-			t.Fatalf("%d results", len(ids))
-		}
-	}
-	if err := m.ForceShardRebuild(0); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Rebuilds != 1 || st.LastRebuildAt.IsZero() {
-		t.Fatalf("maintain stats after forced rebuild: %+v", st)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, sys, qtest := shardedPair(t, shards, RoundRobin)
+			m, err := sys.Maintained(core.Config{Method: HCO, CacheBytes: 32 << 10, Tau: 6, SmoothEps: 0.01}, MaintainOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if got := m.Sharded().Shards(); got != shards {
+				t.Fatalf("maintainer serves %d units, want %d", got, shards)
+			}
+			for _, q := range qtest {
+				ids, _, err := m.Search(q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ids) != 5 {
+					t.Fatalf("%d results", len(ids))
+				}
+			}
+			if err := m.ForceShardRebuild(shards - 1); err != nil {
+				t.Fatal(err)
+			}
+			if st := m.Stats(); st.Rebuilds != 1 || st.LastRebuildAt.IsZero() {
+				t.Fatalf("maintain stats after forced rebuild: %+v", st)
+			}
+		})
 	}
 }
 
