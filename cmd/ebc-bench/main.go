@@ -4,8 +4,7 @@
 //	ebc-bench -list
 //	ebc-bench -exp fig11
 //	ebc-bench -all -scale full -out results.txt
-//	ebc-bench -perf BENCH_1.json
-//	ebc-bench -slab BENCH_4.json -cpuprofile slab.prof
+//	ebc-bench -batch BENCH_3.json -cpuprofile batch.prof
 package main
 
 import (
@@ -29,19 +28,17 @@ func main() {
 		scale      = flag.String("scale", "quick", "fixture scale: quick | full")
 		out        = flag.String("out", "", "write output to file instead of stdout")
 		dir        = flag.String("dir", "", "directory for disk files (default: temp)")
-		perf       = flag.String("perf", "", "run the fast-path perf suite and write the JSON report to this path")
 		batch      = flag.String("batch", "", "run the batch-search coalescing scenario and write the JSON report to this path")
-		slab       = flag.String("slab", "", "run the slab-vs-map Phase-2 scenario and write the JSON report to this path")
 		adaptive   = flag.String("adaptive", "", "run the static-vs-adaptive-τ drift scenario and write the JSON report to this path")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the run to this path")
 	)
 	flag.Parse()
 
-	os.Exit(run(*exp, *all, *list, *scale, *out, *dir, *perf, *batch, *slab, *adaptive, *cpuprofile, *memprofile))
+	os.Exit(run(*exp, *all, *list, *scale, *out, *dir, *batch, *adaptive, *cpuprofile, *memprofile))
 }
 
-func run(exp string, all, list bool, scale, out, dir, perf, batch, slab, adaptive, cpuprofile, memprofile string) int {
+func run(exp string, all, list bool, scale, out, dir, batch, adaptive, cpuprofile, memprofile string) int {
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "ebc-bench:", err)
 		return 1
@@ -106,12 +103,8 @@ func run(exp string, all, list bool, scale, out, dir, perf, batch, slab, adaptiv
 
 	var err error
 	switch {
-	case perf != "":
-		_, err = bench.RunPerf(w, env, perf)
 	case batch != "":
 		_, err = bench.RunBatch(w, env, batch)
-	case slab != "":
-		_, err = bench.RunSlab(w, env, slab)
 	case adaptive != "":
 		_, err = bench.RunAdaptive(w, env, adaptive)
 	case all:
@@ -119,7 +112,7 @@ func run(exp string, all, list bool, scale, out, dir, perf, batch, slab, adaptiv
 	case exp != "":
 		err = bench.Run(w, env, exp)
 	default:
-		fmt.Fprintln(os.Stderr, "ebc-bench: pass -exp <id>, -all, -perf <path>, -batch <path>, -slab <path>, -adaptive <path>, or -list (shard scaling and live ingest are benchmark/ workloads: bash benchmark/run.sh)")
+		fmt.Fprintln(os.Stderr, "ebc-bench: pass -exp <id>, -all, -batch <path>, -adaptive <path>, or -list (fast-path rates, the slab layout, shard scaling and live ingest are benchmark/ workloads: bash benchmark/run.sh)")
 		return 2
 	}
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exploitbit/internal/cache"
 	"exploitbit/internal/multistep"
 )
 
@@ -31,119 +30,9 @@ import (
 // coalesced refinement: each data-file page is read at most once across the
 // whole batch. Results and statistics are positional (results[i] answers
 // qs[i]); each query's result identifiers match a standalone SearchCtx of the
-// same query. A canceled ctx abandons the batch at the next check point —
-// between scoring strides, before refinement, and before every page read.
+// same query. See pipeline.searchBatch for cancellation.
 func (e *Engine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	if len(qs) == 0 {
-		return nil, nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	n := len(qs)
-	scs := make([]*searchScratch, n)
-	for j := range scs {
-		scs[j] = e.getScratch()
-		scs[j].ctx = ctx
-		scs[j].st = QueryStats{}
-	}
-	defer func() {
-		for _, sc := range scs {
-			e.putScratch(sc)
-		}
-	}()
-
-	// Phases 1+2 for every query, fanned across the batch: each query scores
-	// on its own scratch, so workers share nothing but the immutable caches.
-	results := make([][]int, n)
-	remainings := make([][]candState, n)
-	if err := batchFan(n, func(j int) error {
-		var err error
-		results[j], remainings[j], err = e.phase12(ctx, scs[j], qs[j], k, nil, nil)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	// Assemble the coalesced refinement: pending candidates grouped by their
-	// data-file page, with one deduplicated decode list per page.
-	t2 := time.Now()
-	items := make([]multistep.BatchQuery, n)
-	pageIDs := make(map[int32][]int)         // page → ids to decode when it loads
-	onPage := make(map[int32]map[int32]bool) // dedup guard for pageIDs
-	for j := range qs {
-		var seeds, pending []multistep.GroupCandidate
-		for _, c := range remainings[j] {
-			if c.exactPt != nil {
-				// EXACT cache hit: distance already in hand, zero I/O.
-				seeds = append(seeds, multistep.GroupCandidate{ID: c.id, Group: -1, LBSq: c.lbSq})
-				continue
-			}
-			page, err := e.pf.PageOf(int(c.id))
-			if err != nil {
-				return nil, nil, err
-			}
-			u := int32(page)
-			pending = append(pending, multistep.GroupCandidate{ID: c.id, Group: u, LBSq: c.lbSq})
-			seen := onPage[u]
-			if seen == nil {
-				seen = make(map[int32]bool)
-				onPage[u] = seen
-			}
-			if !seen[c.id] {
-				seen[c.id] = true
-				pageIDs[u] = append(pageIDs[u], int(c.id))
-			}
-		}
-		// OwnOnly: a page holds arbitrary points; only this query's own
-		// candidates carry bounds for it, so only they may enter its top-k.
-		items[j] = multistep.BatchQuery{
-			Q: qs[j], Seeds: seeds, Pending: pending,
-			K: k - scs[j].st.TrueHits, OwnOnly: true,
-		}
-	}
-
-	fetch := func(unit int32, item int) ([]int32, [][]float32, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		ids := pageIDs[unit]
-		pts := make([][]float32, len(ids))
-		if err := e.pf.FetchOnPageCtx(ctx, int(unit), ids, pts); err != nil {
-			return nil, nil, err
-		}
-		st := &scs[item].st
-		st.Fetched += len(ids)
-		st.PageReads += int64(e.pf.PagesPerPoint())
-		if e.cfg.Policy == cache.LRU {
-			for i, id := range ids {
-				e.admitLRU(id, pts[i], scs[item].codes)
-			}
-		}
-		out := make([]int32, len(ids))
-		for i, id := range ids {
-			out[i] = int32(id)
-		}
-		return out, pts, nil
-	}
-	refined, _, err := multistep.SearchBatchSq(items, fetch)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	share := time.Since(t2) / time.Duration(n)
-	sts := make([]QueryStats, n)
-	for j := range qs {
-		for _, r := range refined[j] {
-			results[j] = append(results[j], r.ID)
-		}
-		st := &scs[j].st
-		st.RefineTime = share
-		st.SimulatedIO = time.Duration(st.PageReads) * e.pf.Tio()
-		e.agg.Add(*st)
-		sts[j] = *st
-	}
-	return results, sts, nil
+	return e.searchBatch(ctx, qs, k, nil)
 }
 
 // SearchBatch is the tree-engine batch search. See the TreeEngine

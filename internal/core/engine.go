@@ -14,7 +14,6 @@ import (
 	"exploitbit/internal/disk"
 	"exploitbit/internal/encoding"
 	"exploitbit/internal/histogram"
-	"exploitbit/internal/multistep"
 	"exploitbit/internal/rtree"
 	"exploitbit/internal/vec"
 )
@@ -78,10 +77,12 @@ func (c Config) withDefaults() Config {
 // Engine executes Algorithm 1 over one dataset, point file, candidate index
 // and cache configuration.
 type Engine struct {
-	ds    *dataset.Dataset
-	pf    *disk.PointFile
-	cands CandidateFunc
-	cfg   Config
+	// pipeline carries the candidate generator, the configuration and the
+	// query pipeline; Engine plugs in as its flat scorer (score … settle).
+	pipeline
+
+	ds *dataset.Dataset
+	pf *disk.PointFile
 
 	// Approximate-point machinery (HC-*, iHC-*, C-VA). HFF content lives in
 	// the slab-packed arena (slab); the map-backed cache (approx) serves the
@@ -115,9 +116,6 @@ type Engine struct {
 	// table), cached for the per-query build-vs-scan gate.
 	lutBuckets int
 
-	// scratch pools per-query working sets; see searchScratch.
-	scratch sync.Pool
-
 	// ubTopPool pools the per-worker running-threshold heaps of the parallel
 	// slab kernel (serial reduction uses the scratch's heap instead).
 	ubTopPool sync.Pool
@@ -133,9 +131,8 @@ func NewEngine(pf *disk.PointFile, prof *Profile, cands CandidateFunc, cfg Confi
 		return nil, err
 	}
 	e.pf = pf
-	e.cands = cands
 	e.fillCache(content, capacity)
-	e.finalize()
+	e.finalize(cands)
 	return e, nil
 }
 
@@ -151,7 +148,8 @@ func newModel(prof *Profile, cfg Config) (e *Engine, content []int, capacity int
 		return nil, nil, 0, err
 	}
 	ds := prof.DS
-	e = &Engine{ds: ds, cfg: cfg}
+	e = &Engine{ds: ds}
+	e.cfg = cfg
 	dom := ds.Domain
 
 	switch cfg.Method {
@@ -314,13 +312,16 @@ func (e *Engine) fillCache(content []int, capacity int) {
 	}
 }
 
-// finalize installs the derived fast-path state and scratch pools. Every
+// finalize installs the derived fast-path state, plugs the engine into its
+// pipeline as the flat scorer over cands, and arms the scratch pools. Every
 // construction path — NewEngine, shard engines, snapshot load — ends here.
-func (e *Engine) finalize() {
+func (e *Engine) finalize(cands CandidateFunc) {
 	if e.table != nil {
 		e.lutBuckets = e.table.Buckets()
 	}
-	e.scratch.New = func() any { return newSearchScratch(e) }
+	e.via, e.cands = e, cands
+	e.horizon, e.pagesPer, e.tio = int32(e.ds.Len()), e.pf.PagesPerPoint(), e.pf.Tio()
+	e.scratch.New = func() any { return newSearchScratch(&e.pipeline, e.ds.Dim) }
 	e.ubTopPool.New = func() any { return vec.NewTopK(1) }
 }
 
@@ -441,159 +442,80 @@ func (e *Engine) SearchInto(q []float32, k int, dst []int) ([]int, QueryStats, e
 	return e.SearchCtx(context.Background(), q, k, dst, nil)
 }
 
-// phase12 runs Phase 1 (candidate generation) and Phase 2 (cache-based
-// candidate reduction: scoring, lb_k/ub_k selection, prune / true-hit
-// partition) for one query on scratch sc. True-hit identifiers are appended
-// to dst; the surviving candidate states are compacted into sc.cs and
-// returned. Both the single-query search and the batch pipeline start here.
-//
-// A non-nil mg folds the live-ingest overlay in: tombstoned base candidates
-// are masked before scoring, and surviving delta points are scored exactly
-// and enter the same k-th-bound selection. Masking only shrinks the
-// candidate set and extras only lower ub_k, so the slab kernel's
-// early-abandonment argument (thr ≥ ub_k) is untouched.
-func (e *Engine) phase12(ctx context.Context, sc *searchScratch, q []float32, k int, dst []int, mg *Merge) ([]int, []candState, error) {
-	st := &sc.st
+// SearchCtx is the full-signature search: SearchInto under a request
+// context, with an optional live-ingest overlay (see pipeline.search).
+func (e *Engine) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
+	return e.search(ctx, q, k, dst, mg, nil)
+}
 
-	// Phase 1: candidate generation.
-	t0 := time.Now()
-	ids, dmax := e.cands(q, k)
-	st.GenTime = time.Since(t0)
-	st.Dmax = dmax
+// score is the flat scorer: Phase 2 over the engine's own cache, in place on
+// the query's candidate states.
+func (e *Engine) score(sc *searchScratch, q []float32, ids []int, k int) error {
+	return e.reduce(sc, q, ids, sc.cs[:len(ids)], len(ids), k, nil)
+}
 
-	nExtra := 0
-	if mg != nil {
-		if mg.Deleted != nil {
-			// Filter into dedicated scratch: candidate funcs may return
-			// shared slices, so the returned ids are never edited in place.
-			sc.mergeIDs = sc.mergeIDs[:0]
-			for _, id := range ids {
-				if !mg.Deleted(int32(id)) {
-					sc.mergeIDs = append(sc.mergeIDs, id)
-				}
-			}
-			ids = sc.mergeIDs
-		}
-		horizon := int32(e.ds.Len())
-		for i := range mg.Extra {
-			if mg.extraLive(&mg.Extra[i], horizon) {
-				nExtra++
-			}
-		}
-	}
-	st.Candidates = len(ids) + nExtra
-
-	// Phase 2: candidate reduction — no I/O by construction (unless
-	// EagerFetchMisses). The ADC lookup table replaces per-candidate edge
-	// math when the candidate set amortizes its build; above the parallel
-	// threshold the scan fans out over contiguous chunks.
-	t1 := time.Now()
-	sc.cs = grow(sc.cs, len(ids)+nExtra)
-	cs := sc.cs[:len(ids)]
-	lut := e.queryLUT(q, len(ids), sc)
-	st.UsedLUT = lut != nil
+// reduce scores ids (in this engine's id space) into cs on scratch sc — the
+// one Phase-2 dispatch both scorers go through. The ADC lookup table replaces
+// per-candidate edge math when gate candidates amortize its build (gate is
+// the query's whole candidate count, so a shard engine makes the choice the
+// unsharded engine would); above the parallel threshold the scan fans out
+// over contiguous chunks. xb is the scatter-gather bound-exchange cell (nil
+// when scoring in place).
+func (e *Engine) reduce(sc *searchScratch, q []float32, ids []int, cs []candState, gate, k int, xb *crossBound) error {
+	lut := e.queryLUT(q, gate, sc)
+	sc.st.UsedLUT = lut != nil
 	workers := e.reduceWorkers(len(ids))
-	st.ReduceWorkers = workers
+	sc.st.ReduceWorkers = workers
 	switch {
 	case e.slab != nil && !e.cfg.EagerFetchMisses:
 		// Fused blocked kernel straight off the slab arena; blocks are the
 		// unit of parallelism above the threshold.
-		if err := e.reduceSlab(ctx, q, ids, cs, lut, k, workers, sc, nil); err != nil {
-			return nil, nil, err
-		}
+		return e.reduceSlab(sc.ctx, q, ids, cs, lut, k, workers, sc, xb)
 	case workers > 1:
-		if err := e.reduceParallel(ctx, q, ids, cs, lut, workers, st); err != nil {
-			return nil, nil, err
-		}
+		return e.reduceParallel(sc.ctx, q, ids, cs, lut, workers, &sc.st)
 	default:
-		if err := e.reduceSerial(ctx, q, ids, cs, lut, sc); err != nil {
-			return nil, nil, err
-		}
+		return e.reduceSerial(sc.ctx, q, ids, cs, lut, sc)
 	}
-	cs = sc.cs[:len(ids)+nExtra]
-	if nExtra > 0 {
-		// Delta points: exact distance in RAM, lb = ub = d², no I/O. Each is
-		// a candidate and a cache hit — exactly what the point would cost in
-		// an engine rebuilt over the folded dataset with the point resident
-		// in an exact cache.
-		horizon := int32(e.ds.Len())
-		j := len(ids)
-		for i := range mg.Extra {
-			ex := &mg.Extra[i]
-			if !mg.extraLive(ex, horizon) {
-				continue
-			}
-			d2 := vec.SqDist(q, ex.Vec)
-			cs[j] = candState{id: ex.ID, leaf: -1, lbSq: d2, ubSq: d2, exactPt: ex.Vec}
-			j++
-		}
-		st.Hits += nExtra
-	}
-	lbkSq, ubkSq := sc.kthBoundsSq(cs, k)
-
-	// true results detected without I/O come first
-	results, remaining := partitionCandidates(cs, lbkSq, ubkSq, e.cfg.NoTrueHitDetection, st, dst)
-	st.Remaining = len(remaining)
-	st.ReduceTime = time.Since(t1)
-	return results, remaining, nil
 }
 
-// SearchCtx is the full-signature search: SearchInto under a request
-// context, with an optional live-ingest overlay (nil mg = plain search; see
-// Merge for the masking and scoring semantics). A canceled or expired ctx
-// abandons the query at the next check point — between candidate scoring
-// strides, before Phase 3's refinement I/O starts, and before every point
-// fetch — returning ctx.Err() (possibly wrapped) instead of burning the
-// worker pool on an answer nobody is waiting for.
-func (e *Engine) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
+// fetchPoint reads point id (this engine's id space) from the point file
+// into the scratch's fetch buffer and feeds the LRU admission path.
+func (e *Engine) fetchPoint(sc *searchScratch, id int) ([]float32, error) {
+	p, err := e.pf.FetchCtx(sc.ctx, id, sc.fetchBuf)
+	if err == nil && e.cfg.Policy == cache.LRU {
+		e.admitLRU(id, p, sc.codes)
 	}
-	sc := e.getScratch()
-	defer e.putScratch(sc)
-	sc.ctx = ctx
-	sc.st = QueryStats{}
-	st := &sc.st
-
-	results, remaining, err := e.phase12(ctx, sc, q, k, dst, mg)
-	if err != nil {
-		return nil, sc.st, err
-	}
-
-	// Phase 3: multi-step refinement of the remaining candidates, in squared
-	// space — sqrt is deferred to the final k results inside SearchSq. An
-	// abandoned request is dropped here, before the first refinement fetch:
-	// Phase 3 is where disk I/O happens, so this check is what keeps a
-	// disconnected client from charging page reads to the device.
-	if err := ctx.Err(); err != nil {
-		return nil, sc.st, err
-	}
-	t2 := time.Now()
-	kNeed := k - st.TrueHits
-	if kNeed > 0 && len(remaining) > 0 {
-		sc.mcands = grow(sc.mcands, len(remaining))
-		clear(sc.exactByID)
-		for i, c := range remaining {
-			sc.mcands[i] = multistep.Candidate{ID: int(c.id), LB: c.lbSq, UB: c.ubSq}
-			if c.exactPt != nil {
-				sc.exactByID[c.id] = c.exactPt
-			}
-		}
-		refined, _, err := sc.msc.SearchSq(q, sc.mcands, kNeed, sc.fetch, sc.rbuf[:0])
-		if err != nil {
-			return nil, sc.st, err
-		}
-		sc.rbuf = refined[:0]
-		for _, r := range refined {
-			results = append(results, r.ID)
-		}
-	}
-	st.RefineTime = time.Since(t2)
-	st.SimulatedIO = time.Duration(st.PageReads) * e.pf.Tio()
-
-	e.agg.Add(sc.st)
-	return results, sc.st, nil
+	return p, err
 }
+
+// readPage is fetchPoint's batch counterpart: every point of ids, all
+// resident on page, in one read.
+func (e *Engine) readPage(sc *searchScratch, page int, ids []int, pts [][]float32) error {
+	if err := e.pf.FetchOnPageCtx(sc.ctx, page, ids, pts); err != nil {
+		return err
+	}
+	if e.cfg.Policy == cache.LRU {
+		for i, id := range ids {
+			e.admitLRU(id, pts[i], sc.codes)
+		}
+	}
+	return nil
+}
+
+func (e *Engine) fetchUnit(_ *searchScratch, id int32) (int32, bool, error) {
+	page, err := e.pf.PageOf(int(id))
+	return int32(page), true, err
+}
+
+func (e *Engine) readUnit(batch []*searchScratch, item int, unit int32, ids []int32, pts [][]float32) error {
+	lids := make([]int, len(ids))
+	for i, id := range ids {
+		lids[i] = int(id)
+	}
+	return e.readPage(batch[item], int(unit), lids, pts)
+}
+
+func (e *Engine) settle(sc *searchScratch, _ []float32, _ shardSink) { e.agg.Add(sc.st) }
 
 // queryLUT builds (or skips) the per-query ADC lookup table. Building costs
 // O(d·B); it pays off once the candidate set is a small multiple of B, so

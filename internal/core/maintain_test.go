@@ -123,6 +123,14 @@ func TestMaintainerDetectsDriftAndRecovers(t *testing.T) {
 		// Phase 2: drift to the disjoint pool; every slot must rebuild.
 		// Rebuilds run in the background, so wait for the swaps before checking.
 		run(poolB, 400)
+		// Detection arms a one-window countdown that only traffic advances
+		// (driftState.pendingRebuild): a slot that detects late in the 400
+		// holds its launch guard until more pool-B queries arrive, so keep the
+		// drifted traffic flowing until every armed slot has fired.
+		for i := 0; i < 20 && m.Stats().RebuildInFlight; i++ {
+			run(poolB, 64)
+			time.Sleep(20 * time.Millisecond)
+		}
 		waitRebuildIdle(t, m)
 		for s, ss := range m.ShardStats() {
 			if ss.Rebuilds == 0 {

@@ -30,14 +30,20 @@ func allCandsOf(ds *dataset.Dataset, n int) CandidateFunc {
 	}
 }
 
-// mergeWorld is the equivalence fixture: a base engine over the first n0
-// points and a reference engine rebuilt over the full folded dataset, both
-// with all-covering candidates.
+// mergeRow is one serving topology of the overlay suite (see servingRows): a
+// base searcher over the first n0 points and a reference searcher rebuilt
+// over the full folded dataset, both with all-covering candidates.
+type mergeRow struct {
+	name         string
+	base, folded rowSearcher
+}
+
+// mergeWorld is the equivalence fixture: one dataset, workload and pair of
+// profiles served on every topology of servingRows. rows[0] is the flat row.
 type mergeWorld struct {
 	full   *dataset.Dataset
 	n0     int
-	base   *Engine
-	folded *Engine
+	rows   []mergeRow
 	qtest  [][]float32
 	extras []MergePoint
 }
@@ -49,27 +55,59 @@ func buildMergeWorld(t *testing.T, method Method, n, n0, dim int) *mergeWorld {
 	log := dataset.GenLog(full, dataset.LogConfig{PoolSize: 40, Length: 200, ZipfS: 1.3, Perturb: 0.005, Seed: 8})
 	wl, qtest := log.Split(16)
 
-	mk := func(ds *dataset.Dataset, nPts int, name string) *Engine {
+	mk := func(ds *dataset.Dataset, name string) ([]string, []rowSearcher) {
 		pf, err := disk.BuildPointFile(filepath.Join(t.TempDir(), name), ds, nil, 4096, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { pf.Close() })
-		cands := allCandsOf(ds, nPts)
+		cands := allCandsOf(ds, ds.Len())
 		prof := BuildProfile(ds, cands, wl, 10)
-		eng, err := NewEngine(pf, prof, cands, Config{Method: method, CacheBytes: 64 << 10, Tau: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
+		return servingRows(t, ds, pf, prof, cands, Config{Method: method, CacheBytes: 64 << 10, Tau: 6})
 	}
 	w := &mergeWorld{full: full, n0: n0, qtest: qtest}
-	w.base = mk(baseDS, n0, "base")
-	w.folded = mk(full, n, "fold")
+	names, base := mk(baseDS, "base")
+	_, folded := mk(full, "fold")
+	for i, name := range names {
+		w.rows = append(w.rows, mergeRow{name, base[i], folded[i]})
+	}
 	for i := n0; i < n; i++ {
 		w.extras = append(w.extras, MergePoint{ID: int32(i), Vec: full.Point(i)})
 	}
 	return w
+}
+
+// searchRows runs one merged search on every row's base (or folded)
+// searcher and holds the router rows to the flat row bit for bit — the same
+// ids in the same order and the same Pruned/TrueHits/Remaining/PageReads —
+// which is the bit-identity contract under a non-nil overlay. It returns the
+// per-row ids.
+func (w *mergeWorld) searchRows(t *testing.T, ctx string, folded bool, q []float32, k int, mg *Merge) [][]int {
+	t.Helper()
+	out := make([][]int, len(w.rows))
+	var flatSt QueryStats
+	for i, r := range w.rows {
+		s := r.base
+		if folded {
+			s = r.folded
+		}
+		ids, st, err := s.SearchCtx(context.Background(), q, k, nil, mg)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", r.name, ctx, err)
+		}
+		out[i] = ids
+		if i == 0 {
+			flatSt = st
+			continue
+		}
+		if !sameIDs(out[0], ids) {
+			t.Fatalf("%s/%s: ids %v, flat %v", r.name, ctx, ids, out[0])
+		}
+		if d := diffStats(flatSt, st); d != "" {
+			t.Fatalf("%s/%s: stats differ from flat: %s", r.name, ctx, d)
+		}
+	}
+	return out
 }
 
 // idsEqual compares result id lists. Exact scores every candidate, so its
@@ -88,12 +126,13 @@ func idsEqual(t *testing.T, method Method, ctx string, got, want []int) {
 	}
 }
 
-// TestMergedSearchEquivalentToRebuild pins the live-ingest read invariant: a
-// base engine searching with the delta folded in through a Merge overlay
-// returns ids identical to an engine rebuilt over the folded dataset. With
-// tombstones, the rebuilt engine keeps the tombstone mask (deleted points stay
-// folded for id density), so the comparison is full overlay vs tombs-only
-// overlay.
+// TestMergedSearchEquivalentToRebuild pins the live-ingest read invariant on
+// every serving topology: a base searcher with the delta folded in through a
+// Merge overlay returns ids identical to one rebuilt over the folded dataset.
+// With tombstones, the rebuilt searcher keeps the tombstone mask (deleted
+// points stay folded for id density), so the comparison is full overlay vs
+// tombs-only overlay. The router rows are additionally held to the flat row
+// bit for bit under each overlay (see searchRows).
 func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 	for _, method := range []Method{Exact, HCO} {
 		t.Run(string(method), func(t *testing.T) {
@@ -108,48 +147,37 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 
 			for _, q := range w.qtest {
 				// No tombstones: base+extras vs plain folded search.
-				got, _, err := w.base.SearchCtx(context.Background(), q, k, nil, &Merge{Extra: w.extras})
-				if err != nil {
-					t.Fatal(err)
+				got := w.searchRows(t, "no-tombs", false, q, k, &Merge{Extra: w.extras})
+				want := w.searchRows(t, "plain-folded", true, q, k, nil)
+				for i, r := range w.rows {
+					idsEqual(t, method, r.name+"/no-tombs", got[i], want[i])
 				}
-				want, _, err := w.folded.Search(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				idsEqual(t, method, "no-tombs", got, want)
 
 				// With tombstones.
-				got, _, err = w.base.SearchCtx(context.Background(), q, k, nil, fullOverlay)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, err = w.folded.SearchCtx(context.Background(), q, k, nil, tombsOnly)
-				if err != nil {
-					t.Fatal(err)
-				}
-				idsEqual(t, method, "tombs", got, want)
-				for _, id := range got {
-					if deleted(int32(id)) {
-						t.Fatalf("tombstoned id %d in results", id)
-					}
-				}
-
-				// Horizon skip: handing the folded engine the full overlay —
+				got = w.searchRows(t, "tombs", false, q, k, fullOverlay)
+				want = w.searchRows(t, "tombs-folded", true, q, k, tombsOnly)
+				// Horizon skip: handing the folded searcher the full overlay —
 				// extras it already contains — must change nothing. This is
 				// what makes the overlay safe across an RCU engine swap.
-				hz, _, err := w.folded.SearchCtx(context.Background(), q, k, nil, fullOverlay)
-				if err != nil {
-					t.Fatal(err)
+				hz := w.searchRows(t, "horizon-skip", true, q, k, fullOverlay)
+				for i, r := range w.rows {
+					idsEqual(t, method, r.name+"/tombs", got[i], want[i])
+					for _, id := range got[i] {
+						if deleted(int32(id)) {
+							t.Fatalf("%s: tombstoned id %d in results", r.name, id)
+						}
+					}
+					idsEqual(t, method, r.name+"/horizon-skip", hz[i], want[i])
 				}
-				idsEqual(t, method, "horizon-skip", hz, want)
 			}
 		})
 	}
 }
 
 // TestMergedSearchRandomInterleavings drives a random insert/delete
-// interleaving through the overlay and cross-checks the merged results
-// against exact brute force over the surviving point set at several cuts.
+// interleaving through the overlay and cross-checks every row's merged
+// results against exact brute force over the surviving point set at several
+// cuts.
 func TestMergedSearchRandomInterleavings(t *testing.T) {
 	const n, n0, dim, k = 700, 450, 8, 10
 	w := buildMergeWorld(t, HCO, n, n0, dim)
@@ -162,10 +190,7 @@ func TestMergedSearchRandomInterleavings(t *testing.T) {
 		deleted := func(id int32) bool { _, ok := tombs[id]; return ok }
 		mg := &Merge{Deleted: deleted, Extra: w.extras[:inserted]}
 		for _, q := range w.qtest[:6] {
-			got, _, err := w.base.SearchCtx(context.Background(), q, k, nil, mg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := w.searchRows(t, step, false, q, k, mg)
 			// Brute-force reference over every live id.
 			type cand struct {
 				id int
@@ -188,12 +213,13 @@ func TestMergedSearchRandomInterleavings(t *testing.T) {
 			for i := 0; i < k && i < len(ref); i++ {
 				want = append(want, ref[i].id)
 			}
-			gs := append([]int(nil), got...)
-			sort.Ints(gs)
-			ws := append([]int(nil), want...)
-			sort.Ints(ws)
-			if !reflect.DeepEqual(gs, ws) {
-				t.Fatalf("%s: merged ids %v, brute force %v", step, gs, ws)
+			sort.Ints(want)
+			for i, r := range w.rows {
+				gs := append([]int(nil), got[i]...)
+				sort.Ints(gs)
+				if !reflect.DeepEqual(gs, want) {
+					t.Fatalf("%s/%s: merged ids %v, brute force %v", r.name, step, gs, want)
+				}
 			}
 		}
 	}

@@ -4,20 +4,22 @@ import (
 	"context"
 
 	"exploitbit/internal/bounds"
-	"exploitbit/internal/cache"
 	"exploitbit/internal/multistep"
 	"exploitbit/internal/vec"
 )
 
-// searchScratch is the per-query working set of Search, pooled on the engine
-// so the steady-state cache-hit path performs zero heap allocations: the
-// candidate states, bound arrays, query LUT, refinement buffers, fetch
-// buffer and the exact-hit map all survive between queries and are resized
-// only when a query is larger than any seen before.
+// searchScratch is the per-query working set of the pipeline, pooled on the
+// engine it searches through so the steady-state cache-hit path performs
+// zero heap allocations: the candidate states, bound arrays, query LUT,
+// refinement buffers, fetch buffer and the exact-hit map all survive between
+// queries and are resized only when a query is larger than any seen before.
+// Both scorers run on it; the scatter-gather scorer's own state hangs off
+// scatter, and each shard engine it scores through borrows a second scratch
+// of this same type from that engine's pool.
 type searchScratch struct {
-	eng *Engine
-	st  QueryStats
-	ctx context.Context // request context of the query in flight
+	pipe *pipeline
+	st   QueryStats
+	ctx  context.Context // request context of the query in flight
 
 	reduceScratch
 
@@ -34,6 +36,12 @@ type searchScratch struct {
 	// place.
 	mergeIDs []int
 
+	// The partition's outcome, left by phase12 for Phase 3, the batch
+	// assembler and the scorer's settle: the true-hit identifiers (a window
+	// of the caller's result slice) and the survivors (a prefix of cs).
+	trueHits  []int
+	remaining []candState
+
 	mcands    []multistep.Candidate
 	rbuf      []multistep.Result
 	msc       multistep.Scratch
@@ -42,14 +50,18 @@ type searchScratch struct {
 	// fetch is the Phase 3 fetch function, bound once per scratch so that
 	// per-query calls do not allocate a closure.
 	fetch multistep.Fetch
+
+	// scatter is the scatter-gather scorer's per-query state (nil on a flat
+	// engine's scratch).
+	scatter *scatterState
 }
 
-func newSearchScratch(e *Engine) *searchScratch {
+func newSearchScratch(p *pipeline, dim int) *searchScratch {
 	sc := &searchScratch{
-		eng:           e,
+		pipe:          p,
 		reduceScratch: newReduceScratch(),
-		fetchBuf:      make([]float32, e.ds.Dim),
-		codes:         make([]int, e.ds.Dim),
+		fetchBuf:      make([]float32, dim),
+		codes:         make([]int, dim),
 		exactByID:     make(map[int32][]float32),
 	}
 	sc.fetch = sc.fetchPoint
@@ -57,8 +69,7 @@ func newSearchScratch(e *Engine) *searchScratch {
 }
 
 // fetchPoint is Phase 3's fetch: exact cache hits come from RAM, everything
-// else from the point file, charging I/O statistics and feeding the LRU
-// admission path.
+// else through the scorer's point fetch, charged to the query.
 func (sc *searchScratch) fetchPoint(id int) ([]float32, error) {
 	if len(sc.exactByID) > 0 {
 		if p, ok := sc.exactByID[int32(id)]; ok {
@@ -70,17 +81,12 @@ func (sc *searchScratch) fetchPoint(id int) ([]float32, error) {
 	if err := sc.ctx.Err(); err != nil {
 		return nil, err
 	}
-	e := sc.eng
-	p, err := e.pf.FetchCtx(sc.ctx, id, sc.fetchBuf)
-	if err != nil {
-		return nil, err
+	p, err := sc.pipe.via.fetchPoint(sc, id)
+	if err == nil {
+		sc.st.Fetched++
+		sc.st.PageReads += int64(sc.pipe.pagesPer)
 	}
-	sc.st.Fetched++
-	sc.st.PageReads += int64(e.pf.PagesPerPoint())
-	if e.cfg.Policy == cache.LRU {
-		e.admitLRU(id, p, sc.codes)
-	}
-	return p, nil
+	return p, err
 }
 
 // ubTopFor returns the scratch's running-threshold heap re-armed for k.
@@ -101,11 +107,17 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (e *Engine) getScratch() *searchScratch {
-	return e.scratch.Get().(*searchScratch)
+// getScratch takes a scratch from the pool armed for one query under ctx.
+func (p *pipeline) getScratch(ctx context.Context) *searchScratch {
+	sc := p.scratch.Get().(*searchScratch)
+	sc.ctx = ctx
+	sc.st = QueryStats{}
+	return sc
 }
 
-func (e *Engine) putScratch(sc *searchScratch) {
-	sc.ctx = nil // do not retain request-scoped values past the query
-	e.scratch.Put(sc)
+func (p *pipeline) putScratch(sc *searchScratch) {
+	// Do not retain request-scoped values past the query.
+	sc.ctx = nil
+	sc.trueHits = nil
+	p.scratch.Put(sc)
 }

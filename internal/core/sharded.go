@@ -4,30 +4,14 @@
 // filter and cache — while the quantization model (histogram, bounds table,
 // codec) is built once over the global profile and shared by pointer, and
 // each HFF cache holds exactly the shard-local slice of the global HFF
-// ranking. The router runs Phase 1 once, scatters candidates to their
-// owners, scores every engaged shard concurrently with the running k-th
-// upper bound exchanged through a crossBound cell, gathers the per-shard
-// bound states back into the global candidate order, and runs one global
-// lb_k/ub_k selection, partition and Seidl–Kriegel refinement.
-//
-// Bit-identity with the unsharded engine, piece by piece:
-//   - Phase 1 is the same single index probe, so the candidate list — and,
-//     because scatter records each candidate's original position and the
-//     gather writes scored states back to it, the candidate *order* seen by
-//     selection and partition — is identical.
-//   - Every shard scores through the shared model, and each shard's HFF
-//     cache content is the global content intersected with the shard, so
-//     each candidate's (hit, lbSq, ubSq) triple is identical.
-//   - The bound exchange only tightens early-abandonment thresholds, which
-//     slabReduceRange proves output-invariant.
-//   - Refinement runs one global schedule over the merged survivors; only
-//     the fetch is routed to the owning shard's file. Shard files share the
-//     parent's dimensionality and page size, so PagesPerPoint matches and
-//     the fetch multiset — hence Fetched and ΣPageReads — matches. In the
-//     batch path, the unit-granular partitioner keeps whole fetch units
-//     together and local page boundaries aligned with global ones, so units
-//     biject with global pages and cross-query coalescing reads the same
-//     number of units.
+// ranking. The router is the pipeline's scatter-gather scorer: it scatters
+// the one Phase-1 candidate list to the owning shards, scores every engaged
+// shard through that shard engine's flat kernels with the running k-th upper
+// bound exchanged through a crossBound cell, and gathers the per-shard bound
+// states back into the global candidate order, where the pipeline runs one
+// global lb_k/ub_k selection, partition and Seidl–Kriegel refinement whose
+// fetches are routed back to the owning shard's file. The bit-identity
+// argument with the flat scorer sits on the scorer seam (pipeline.go).
 package core
 
 import (
@@ -43,7 +27,6 @@ import (
 	"exploitbit/internal/dataset"
 	"exploitbit/internal/disk"
 	"exploitbit/internal/multistep"
-	"exploitbit/internal/vec"
 )
 
 // ShardSpec describes one shard unit to the sharded constructors: its point
@@ -84,8 +67,9 @@ const shardFanThreshold = 2048
 // ShardedEngine runs Algorithm 1 scatter-gather across shard units. It is
 // safe for concurrent use under the same rules as Engine.
 type ShardedEngine struct {
-	cands CandidateFunc
-	cfg   Config
+	// pipeline carries the global candidate generator, the configuration and
+	// the query pipeline; the router plugs in as its scatter-gather scorer.
+	pipeline
 
 	owner []int32 // global id → shard
 	local []int32 // global id → local id
@@ -95,16 +79,12 @@ type ShardedEngine struct {
 	// fetch-unit id space for batch coalescing; unitBase[N] caps the range.
 	unitBase []int32
 
-	pagesPer int
-	tio      time.Duration
-
 	// degradedOK allows queries to complete over surviving shards when a
 	// shard's storage fails permanently (results flagged Degraded). Off, a
 	// failed shard fails every query that touches it.
 	degradedOK atomic.Bool
 
-	scratch sync.Pool
-	agg     *atomicAggregate
+	agg *atomicAggregate
 }
 
 // SingleShard describes a dataset served whole as the one unit of a router:
@@ -141,14 +121,13 @@ func newRouter(specs []ShardSpec, owner, local []int32, cands CandidateFunc) (*S
 		return nil, fmt.Errorf("core: owner/local maps cover %d/%d ids, shards hold %d points", len(owner), len(local), total)
 	}
 	se := &ShardedEngine{
-		cands:    cands,
 		owner:    owner,
 		local:    local,
-		pagesPer: specs[0].PF.PagesPerPoint(),
-		tio:      specs[0].PF.Tio(),
 		unitBase: make([]int32, len(specs)+1),
 		agg:      new(atomicAggregate),
 	}
+	se.via, se.cands = se, cands
+	se.horizon, se.pagesPer, se.tio = int32(total), specs[0].PF.PagesPerPoint(), specs[0].PF.Tio()
 	for s, spec := range specs {
 		se.units = append(se.units, &shardUnit{ShardSpec: spec, agg: new(atomicAggregate)})
 		maxPage, err := spec.PF.PageOf(spec.DS.Len() - 1)
@@ -157,7 +136,11 @@ func newRouter(specs []ShardSpec, owner, local []int32, cands CandidateFunc) (*S
 		}
 		se.unitBase[s+1] = se.unitBase[s] + int32(maxPage) + 1
 	}
-	se.scratch.New = func() any { return newRouterScratch(se) }
+	se.scratch.New = func() any {
+		sc := newSearchScratch(&se.pipeline, se.Dim())
+		sc.scatter = newScatterState(len(specs))
+		return sc
+	}
 	return se, nil
 }
 
@@ -217,8 +200,6 @@ func NewShardedEngine(specs []ShardSpec, owner, local []int32, prof *Profile, ca
 		e := &Engine{
 			ds:             spec.DS,
 			pf:             spec.PF,
-			cands:          se.ShardCandidates(s),
-			cfg:            model.cfg,
 			codec:          model.codec,
 			table:          model.table,
 			ghist:          model.ghist,
@@ -228,12 +209,13 @@ func NewShardedEngine(specs []ShardSpec, owner, local []int32, prof *Profile, ca
 			histBuildTime:  model.histBuildTime,
 			globalIDs:      spec.GlobalIDs,
 		}
+		e.cfg = model.cfg
 		capS := len(localContent[s])
 		if model.cfg.Policy == cache.LRU {
 			capS = lruCaps[s]
 		}
 		e.fillCache(localContent[s], capS)
-		e.finalize()
+		e.finalize(se.ShardCandidates(s))
 		se.swapEngine(s, e)
 	}
 	return se, nil
@@ -407,16 +389,10 @@ func (se *ShardedEngine) ShardAggregates() []ShardAggregate {
 	return out
 }
 
-// routerScratch is the pooled per-query working set of the sharded search:
-// the global candidate states, the per-shard scatter lists, the per-query
-// engine snapshot, and the refinement buffers. Mirrors searchScratch.
-type routerScratch struct {
-	se  *ShardedEngine
-	st  QueryStats
-	ctx context.Context
-
-	reduceScratch
-
+// scatterState is the scatter-gather scorer's per-query state, hung off the
+// pooled searchScratch: the per-shard scatter lists, the per-query engine
+// snapshot, the per-shard statistics and the degraded-mode flags.
+type scatterState struct {
 	sids    [][]int      // per-shard local candidate ids
 	pos     [][]int32    // per-shard original candidate positions
 	engs    []*Engine    // per-query RCU snapshot of every shard engine
@@ -424,317 +400,269 @@ type routerScratch struct {
 	errs    []error      // per-shard scoring errors
 	xb      crossBound
 
-	// Degraded-mode state, snapshotted per query: quar is each shard's
-	// quarantine flag at scatter time, failed marks shards this query is
-	// serving around (quarantined shards it touched, plus shards that failed
+	// Degraded-mode state, snapshotted per query at scatter time: quar is
+	// each shard's quarantine flag, failed marks shards this query is serving
+	// around (quarantined shards it touched, plus shards that failed
 	// permanently mid-query).
 	degradedOK bool
 	quar       []bool
 	failed     []bool
-
-	fetchBuf []float32
-	codes    []int
-
-	// mergeIDs holds the tombstone-filtered Phase-1 ids of a merged search;
-	// candidate funcs may return shared slices, so filtering never happens in
-	// place.
-	mergeIDs []int
-
-	mcands    []multistep.Candidate
-	rbuf      []multistep.Result
-	msc       multistep.Scratch
-	exactByID map[int32][]float32
-	fetch     multistep.Fetch
 }
 
-func newRouterScratch(se *ShardedEngine) *routerScratch {
-	n := len(se.units)
-	rs := &routerScratch{
-		se:            se,
-		reduceScratch: newReduceScratch(),
-		sids:          make([][]int, n),
-		pos:           make([][]int32, n),
-		engs:          make([]*Engine, n),
-		shardSt:       make([]QueryStats, n),
-		errs:          make([]error, n),
-		quar:          make([]bool, n),
-		failed:        make([]bool, n),
-		fetchBuf:      make([]float32, se.Dim()),
-		codes:         make([]int, se.Dim()),
-		exactByID:     make(map[int32][]float32),
+func newScatterState(n int) *scatterState {
+	return &scatterState{
+		sids:    make([][]int, n),
+		pos:     make([][]int32, n),
+		engs:    make([]*Engine, n),
+		shardSt: make([]QueryStats, n),
+		errs:    make([]error, n),
+		quar:    make([]bool, n),
+		failed:  make([]bool, n),
 	}
-	rs.fetch = rs.fetchPoint
-	return rs
 }
 
-func (se *ShardedEngine) getScratch() *routerScratch {
-	return se.scratch.Get().(*routerScratch)
-}
-
-func (se *ShardedEngine) putScratch(rs *routerScratch) {
-	rs.ctx = nil
-	se.scratch.Put(rs)
-}
-
-// failShard records a permanent storage failure on shard s: the query serves
-// around it from here on, and the shard is quarantined so later queries skip
-// it without touching the broken file until a rebuild clears the flag.
-func (rs *routerScratch) failShard(s int) {
-	rs.failed[s] = true
-	u := rs.se.units[s]
+// failShard records a permanent storage failure on shard s: the queries of
+// scs serve around it from here on (a batch passes every member — a unit read
+// serves all demanders, so its failure degrades all of them), and the shard
+// is quarantined so later queries skip it without touching the broken file
+// until a rebuild clears the flag.
+func (se *ShardedEngine) failShard(s int, scs ...*searchScratch) {
+	u := se.units[s]
 	u.fetchFailures.Add(1)
 	u.quarantined.Store(true)
+	for _, sc := range scs {
+		sc.scatter.failed[s] = true
+	}
 }
 
-// fetchPoint is the sharded Phase-3 fetch: global ids are routed to the
-// owning shard's file, charging I/O both globally and to the shard. A
-// candidate owned by a failed shard is dropped from the schedule (degraded
-// mode); a fetch that fails permanently fails its shard the same way.
-func (rs *routerScratch) fetchPoint(id int) ([]float32, error) {
-	if len(rs.exactByID) > 0 {
-		if p, ok := rs.exactByID[int32(id)]; ok {
-			return p, nil // EXACT cache hit: RAM, no I/O
-		}
-	}
-	if err := rs.ctx.Err(); err != nil {
-		return nil, err
-	}
-	se := rs.se
-	s := se.owner[id]
-	if rs.failed[s] {
-		return nil, fmt.Errorf("core: shard %d failed: %w", s, multistep.ErrSkipCandidate)
-	}
-	e := rs.engs[s]
-	lid := int(se.local[id])
-	p, err := e.pf.FetchCtx(rs.ctx, lid, rs.fetchBuf)
-	if err != nil {
-		if rs.degradedOK && disk.IsPermanent(err) {
-			rs.failShard(int(s))
-			return nil, fmt.Errorf("core: shard %d failed (%v): %w", s, err, multistep.ErrSkipCandidate)
-		}
-		return nil, &ShardError{Shard: int(s), Err: err}
-	}
-	rs.st.Fetched++
-	rs.st.PageReads += int64(se.pagesPer)
-	rs.shardSt[s].Fetched++
-	rs.shardSt[s].PageReads += int64(se.pagesPer)
-	if e.cfg.Policy == cache.LRU {
-		e.admitLRU(lid, p, rs.codes)
-	}
-	return p, nil
+// charge attributes one read of points points to shard s (the pipeline
+// charges the query as a whole).
+func (se *ShardedEngine) charge(sc *searchScratch, s int32, points int) {
+	sst := &sc.scatter.shardSt[s]
+	sst.Fetched += points
+	sst.PageReads += int64(se.pagesPer)
 }
 
-// phase12 is the scatter-gather counterpart of Engine.phase12: one global
-// Phase 1, concurrent per-shard Phase-2 scoring with bound exchange, then
-// global selection and partition over the gathered states. A non-nil mg
-// folds the live-ingest overlay in exactly as Engine.phase12 does: masked
-// base candidates never scatter, and surviving delta points are scored
-// exactly into the tail of the global candidate states.
-func (se *ShardedEngine) phase12(ctx context.Context, rs *routerScratch, q []float32, k int, dst []int, mg *Merge) ([]int, []candState, error) {
-	st := &rs.st
-
-	// Phase 1 once, globally: every shard prunes against candidates of the
-	// same probe, and the candidate order is the unsharded one.
-	t0 := time.Now()
-	ids, dmax := se.cands(q, k)
-	st.GenTime = time.Since(t0)
-	st.Dmax = dmax
-
-	nExtra := 0
-	if mg != nil {
-		if mg.Deleted != nil {
-			rs.mergeIDs = rs.mergeIDs[:0]
-			for _, id := range ids {
-				if !mg.Deleted(int32(id)) {
-					rs.mergeIDs = append(rs.mergeIDs, id)
-				}
-			}
-			ids = rs.mergeIDs
-		}
-		horizon := int32(len(se.owner))
-		for i := range mg.Extra {
-			if mg.extraLive(&mg.Extra[i], horizon) {
-				nExtra++
-			}
-		}
-	}
-	st.Candidates = len(ids) + nExtra
-
-	t1 := time.Now()
-	engaged := 0
+// score is the scatter-gather scorer: scatter the candidate positions to
+// their owning shards, score every engaged shard through its engine's flat
+// Phase 2 with the running k-th upper bound exchanged across shards, and
+// gather the states back into the global candidate order — the same values
+// in the same order as the flat scorer leaves behind.
+func (se *ShardedEngine) score(sc *searchScratch, q []float32, ids []int, k int) error {
+	x, st := sc.scatter, &sc.st
+	x.degradedOK = se.degradedOK.Load()
 	for s, u := range se.units {
-		rs.engs[s] = u.eng.Load() // one RCU snapshot per query per shard
-		rs.sids[s] = rs.sids[s][:0]
-		rs.pos[s] = rs.pos[s][:0]
-		rs.shardSt[s] = QueryStats{}
-		rs.errs[s] = nil
-		rs.quar[s] = u.quarantined.Load()
-		rs.failed[s] = false
+		x.engs[s] = u.eng.Load() // one RCU snapshot per query per shard
+		x.sids[s] = x.sids[s][:0]
+		x.pos[s] = x.pos[s][:0]
+		x.shardSt[s] = QueryStats{}
+		x.errs[s] = nil
+		x.quar[s] = u.quarantined.Load()
+		x.failed[s] = false
 	}
-	// cs is sized before the scatter so quarantined shards' candidate slots
-	// can be neutralized in place (the scratch is pooled — a stale slot would
-	// otherwise hold a previous query's state). Delta extras fill the tail
-	// beyond the scattered base candidates.
-	rs.cs = grow(rs.cs, len(ids)+nExtra)
+	engaged := 0
 	inf := math.Inf(1)
 	for i, g := range ids {
 		s := se.owner[g]
-		if rs.quar[s] {
+		if x.quar[s] {
 			// Quarantined owner: refuse the query unless degraded serving is
-			// on; under it, neutralize the candidate (+Inf bounds prune it or
-			// route it to the skip path) and flag the shard as served-around.
-			if !rs.degradedOK {
-				return nil, nil, &ShardError{Shard: int(s), Err: ErrShardQuarantined}
+			// on; under it, neutralize the candidate slot in place (+Inf
+			// bounds prune it or route it to the skip path; the scratch is
+			// pooled, so a stale slot would hold a previous query's state)
+			// and flag the shard as served-around.
+			if !x.degradedOK {
+				return &ShardError{Shard: int(s), Err: ErrShardQuarantined}
 			}
-			rs.failed[s] = true
-			rs.cs[i] = candState{id: int32(g), leaf: -1, lbSq: inf, ubSq: inf}
+			x.failed[s] = true
+			sc.cs[i] = candState{id: int32(g), leaf: -1, lbSq: inf, ubSq: inf}
 			continue
 		}
-		if len(rs.sids[s]) == 0 {
+		if len(x.sids[s]) == 0 {
 			engaged++
 		}
-		rs.sids[s] = append(rs.sids[s], int(se.local[g]))
-		rs.pos[s] = append(rs.pos[s], int32(i))
+		x.sids[s] = append(x.sids[s], int(se.local[g]))
+		x.pos[s] = append(x.pos[s], int32(i))
 	}
-	rs.xb.reset()
+	x.xb.reset()
 
-	run := func(s int) error {
-		e := rs.engs[s]
-		sc := e.getScratch()
-		defer e.putScratch(sc)
-		sc.ctx = ctx
-		sc.st = QueryStats{}
-		sids := rs.sids[s]
-		sc.cs = grow(sc.cs, len(sids))
-		// The LUT gate sees the global candidate count so every shard makes
-		// the same build-vs-scan choice the unsharded engine would.
-		lut := e.queryLUT(q, len(ids), sc)
-		sc.st.UsedLUT = lut != nil
-		workers := e.reduceWorkers(len(sids))
-		sc.st.ReduceWorkers = workers
-		var err error
-		switch {
-		case e.slab != nil && !e.cfg.EagerFetchMisses:
-			err = e.reduceSlab(ctx, q, sids, sc.cs, lut, k, workers, sc, &rs.xb)
-		case workers > 1:
-			err = e.reduceParallel(ctx, q, sids, sc.cs, lut, workers, &sc.st)
-		default:
-			err = e.reduceSerial(ctx, q, sids, sc.cs, lut, sc)
-		}
-		if err != nil {
-			return err
-		}
-		// Gather: write each scored state back to its original global
-		// position, translating the id to global space.
-		gids := se.units[s].GlobalIDs
-		for i := range sids {
-			c := sc.cs[i]
-			c.id = gids[c.id]
-			rs.cs[rs.pos[s][i]] = c
-		}
-		sc.st.Candidates = len(sids)
-		rs.shardSt[s] = sc.st
-		return nil
-	}
-
-	if engaged > 1 && len(ids) >= shardFanThreshold {
+	fan := engaged > 1 && len(ids) >= shardFanThreshold
+	if fan {
 		var wg sync.WaitGroup
 		for s := range se.units {
-			if len(rs.sids[s]) == 0 {
+			if len(x.sids[s]) == 0 {
 				continue
 			}
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				rs.errs[s] = run(s)
+				x.errs[s] = se.scoreShard(sc, s, q, len(ids), k)
 			}(s)
 		}
 		wg.Wait()
 	} else {
 		for s := range se.units {
-			if len(rs.sids[s]) == 0 {
-				continue
+			if len(x.sids[s]) > 0 {
+				x.errs[s] = se.scoreShard(sc, s, q, len(ids), k)
 			}
-			rs.errs[s] = run(s)
 		}
 	}
-	for s, err := range rs.errs {
-		if err == nil {
-			continue
-		}
-		if rs.degradedOK && disk.IsPermanent(err) {
+
+	// ReduceWorkers reports the goroutines that scored: concurrent shards add
+	// up, shards scored one after another on the caller do not.
+	workers := 0
+	for s, err := range x.errs {
+		if err != nil {
+			if !x.degradedOK || !disk.IsPermanent(err) {
+				return &ShardError{Shard: s, Err: err}
+			}
 			// The shard's storage died mid-scoring (eager-fetch path): fail
 			// it, neutralize its candidate slots, and serve on.
-			rs.failShard(s)
-			for _, p := range rs.pos[s] {
-				rs.cs[p] = candState{id: int32(ids[p]), leaf: -1, lbSq: inf, ubSq: inf}
+			se.failShard(s, sc)
+			for _, p := range x.pos[s] {
+				sc.cs[p] = candState{id: int32(ids[p]), leaf: -1, lbSq: inf, ubSq: inf}
 			}
-			rs.shardSt[s] = QueryStats{}
+			x.shardSt[s] = QueryStats{}
 			continue
 		}
-		return nil, nil, &ShardError{Shard: s, Err: err}
-	}
-
-	for s := range se.units {
-		st.Hits += rs.shardSt[s].Hits
-		st.Fetched += rs.shardSt[s].Fetched // eager-fetch ablation path
-		st.PageReads += rs.shardSt[s].PageReads
-		if rs.shardSt[s].UsedLUT {
-			st.UsedLUT = true
+		sst := &x.shardSt[s]
+		st.Hits += sst.Hits
+		st.Fetched += sst.Fetched // eager-fetch ablation path
+		st.PageReads += sst.PageReads
+		st.UsedLUT = st.UsedLUT || sst.UsedLUT
+		if fan {
+			workers += sst.ReduceWorkers
+		} else {
+			workers = max(workers, sst.ReduceWorkers)
 		}
 	}
-	st.ReduceWorkers = engaged
-
-	if nExtra > 0 {
-		// Delta points: exact distance in RAM, lb = ub = d², no I/O, no
-		// owning shard yet — they join the global selection but are excluded
-		// from the per-shard attribution below (their ids lie beyond the
-		// owner map).
-		horizon := int32(len(se.owner))
-		j := len(ids)
-		for i := range mg.Extra {
-			ex := &mg.Extra[i]
-			if !mg.extraLive(ex, horizon) {
-				continue
-			}
-			d2 := vec.SqDist(q, ex.Vec)
-			rs.cs[j] = candState{id: ex.ID, leaf: -1, lbSq: d2, ubSq: d2, exactPt: ex.Vec}
-			j++
-		}
-		st.Hits += nExtra
-	}
-
-	// Global selection over the gathered states — the same values in the
-	// same order as the unsharded engine's kthBoundsSq sees.
-	cs := rs.cs[:len(ids)+nExtra]
-	lbkSq, ubkSq := rs.kthBoundsSq(cs, k)
-
-	// Attribute the partition per shard before partitionCandidates compacts
-	// cs in place, using the same predicates in the same order. Only base
-	// candidates attribute — extras carry ids outside the owner map.
-	for i := range cs[:len(ids)] {
-		c := &cs[i]
-		sst := &rs.shardSt[se.owner[c.id]]
-		switch {
-		case c.lbSq > ubkSq:
-			sst.Pruned++
-		case !se.cfg.NoTrueHitDetection && !c.known && c.ubSq < lbkSq:
-			sst.TrueHits++
-		default:
-			sst.Remaining++
-		}
-	}
-
-	results, remaining := partitionCandidates(cs, lbkSq, ubkSq, se.cfg.NoTrueHitDetection, st, dst)
-	st.Remaining = len(remaining)
-	st.ReduceTime = time.Since(t1)
-	return results, remaining, nil
+	st.ReduceWorkers = max(workers, 1)
+	return nil
 }
 
-// shardSink receives one served query's global and per-shard statistics
-// (perShard is len Shards(), valid only for the duration of the call). The
-// maintainer feeds its per-slot drift windows through it.
-type shardSink func(q []float32, st *QueryStats, perShard []QueryStats)
+// scoreShard runs shard s's share of Phase 2 on a scratch borrowed from the
+// shard engine, then gathers each scored state back to its original global
+// position, translating the id to global space. gate is the global candidate
+// count the LUT gate sees.
+func (se *ShardedEngine) scoreShard(sc *searchScratch, s int, q []float32, gate, k int) error {
+	x := sc.scatter
+	e := x.engs[s]
+	ssc := e.getScratch(sc.ctx)
+	defer e.putScratch(ssc)
+	sids, pos := x.sids[s], x.pos[s]
+	ssc.cs = grow(ssc.cs, len(sids))
+	if err := e.reduce(ssc, q, sids, ssc.cs, gate, k, &x.xb); err != nil {
+		return err
+	}
+	gids := se.units[s].GlobalIDs
+	for i := range sids {
+		c := ssc.cs[i]
+		c.id = gids[c.id]
+		sc.cs[pos[i]] = c
+	}
+	ssc.st.Candidates = len(sids)
+	x.shardSt[s] = ssc.st
+	return nil
+}
+
+// fetchPoint routes a Phase-3 fetch to the owning shard's file. A candidate
+// owned by a failed shard is dropped from the schedule (degraded mode); a
+// fetch that fails permanently fails its shard the same way.
+func (se *ShardedEngine) fetchPoint(sc *searchScratch, id int) ([]float32, error) {
+	x := sc.scatter
+	s := se.owner[id]
+	if x.failed[s] {
+		return nil, fmt.Errorf("core: shard %d failed: %w", s, multistep.ErrSkipCandidate)
+	}
+	p, err := x.engs[s].fetchPoint(sc, int(se.local[id]))
+	if err != nil {
+		if x.degradedOK && disk.IsPermanent(err) {
+			se.failShard(int(s), sc)
+			return nil, fmt.Errorf("core: shard %d failed (%v): %w", s, err, multistep.ErrSkipCandidate)
+		}
+		return nil, &ShardError{Shard: int(s), Err: err}
+	}
+	se.charge(sc, s, 1)
+	return p, nil
+}
+
+// fetchUnit maps a candidate to its (shard, local page) fetch unit. Because
+// the partitioner is fetch-unit granular, those units biject with the
+// unsharded file's pages.
+func (se *ShardedEngine) fetchUnit(sc *searchScratch, id int32) (int32, bool, error) {
+	s := se.owner[id]
+	if sc.scatter.failed[s] {
+		return 0, false, nil // neutralized candidate of a failed shard
+	}
+	page, err := se.units[s].PF.PageOf(int(se.local[id]))
+	return se.unitBase[s] + int32(page), true, err
+}
+
+func (se *ShardedEngine) readUnit(batch []*searchScratch, item int, unit int32, ids []int32, pts [][]float32) error {
+	sc := batch[item]
+	x := sc.scatter
+	s := se.shardOfUnit(unit)
+	if x.failed[s] {
+		return fmt.Errorf("core: shard %d failed: %w", s, multistep.ErrSkipCandidate)
+	}
+	lids := make([]int, len(ids))
+	for i, g := range ids {
+		lids[i] = int(se.local[g])
+	}
+	if err := x.engs[s].readPage(sc, int(unit-se.unitBase[s]), lids, pts); err != nil {
+		if x.degradedOK && disk.IsPermanent(err) {
+			se.failShard(s, batch...)
+			return fmt.Errorf("core: shard %d failed (%v): %w", s, err, multistep.ErrSkipCandidate)
+		}
+		return &ShardError{Shard: s, Err: err}
+	}
+	se.charge(sc, int32(s), len(ids))
+	return nil
+}
+
+// shardOfUnit inverts the unitBase offsets: the shard whose unit id range
+// contains unit.
+func (se *ShardedEngine) shardOfUnit(unit int32) int {
+	// sort.Search over the N+1 fence array: first s with unitBase[s+1] > unit.
+	return sort.Search(len(se.units), func(s int) bool { return se.unitBase[s+1] > unit })
+}
+
+// settle flags a degraded query, attributes the partition to the shards, and
+// folds the query into the router's, the engaged units' and their serving
+// engines' aggregates before handing the statistics to sink. The per-shard
+// TrueHits and Remaining are counted off the partition's outcome and Pruned is
+// what is left of the shard's scattered candidates; only base candidates
+// attribute — overlay extras carry ids beyond the owner map.
+func (se *ShardedEngine) settle(sc *searchScratch, q []float32, sink shardSink) {
+	x, st := sc.scatter, &sc.st
+	for s := range se.units {
+		if x.failed[s] {
+			st.Degraded = true
+			st.FailedShards = append(st.FailedShards, s)
+		}
+	}
+	for _, id := range sc.trueHits {
+		if id < len(se.owner) {
+			x.shardSt[se.owner[id]].TrueHits++
+		}
+	}
+	for i := range sc.remaining {
+		if id := int(sc.remaining[i].id); id < len(se.owner) {
+			x.shardSt[se.owner[id]].Remaining++
+		}
+	}
+	se.agg.Add(*st)
+	for s, u := range se.units {
+		if sst := &x.shardSt[s]; sst.Candidates > 0 || sst.Fetched > 0 {
+			sst.Pruned = sst.Candidates - sst.TrueHits - sst.Remaining
+			sst.SimulatedIO = time.Duration(sst.PageReads) * se.tio
+			u.agg.Add(*sst)
+			x.engs[s].agg.Add(*sst)
+		}
+	}
+	if sink != nil {
+		sink(q, st, x.shardSt)
+	}
+}
 
 // Search runs the scatter-gather Algorithm 1; see Engine.Search.
 func (se *ShardedEngine) Search(q []float32, k int) ([]int, QueryStats, error) {
@@ -747,239 +675,16 @@ func (se *ShardedEngine) SearchInto(q []float32, k int, dst []int) ([]int, Query
 }
 
 // SearchCtx is the full-signature sharded search: SearchInto under a request
-// context with the optional live-ingest overlay (see Merge) folded into the
-// scatter-gather pipeline. Results are bit-identical to Engine.SearchCtx.
+// context with the optional live-ingest overlay (see Merge). Results are
+// bit-identical to Engine.SearchCtx.
 func (se *ShardedEngine) SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error) {
 	return se.search(ctx, q, k, dst, mg, nil)
 }
 
-// search is the scatter-gather pipeline behind every entry point; a non-nil
-// sink additionally receives the served query's per-shard statistics.
-func (se *ShardedEngine) search(ctx context.Context, q []float32, k int, dst []int, mg *Merge, sink shardSink) ([]int, QueryStats, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, QueryStats{}, err
-	}
-	rs := se.getScratch()
-	defer se.putScratch(rs)
-	rs.ctx = ctx
-	rs.st = QueryStats{}
-	rs.degradedOK = se.degradedOK.Load()
-	st := &rs.st
-
-	results, remaining, err := se.phase12(ctx, rs, q, k, dst, mg)
-	if err != nil {
-		return nil, rs.st, err
-	}
-
-	// Phase 3: one global refinement schedule — identical candidate order
-	// and bounds, with only the fetch routed to the owning shard.
-	if err := ctx.Err(); err != nil {
-		return nil, rs.st, err
-	}
-	t2 := time.Now()
-	kNeed := k - st.TrueHits
-	if kNeed > 0 && len(remaining) > 0 {
-		rs.mcands = grow(rs.mcands, len(remaining))
-		clear(rs.exactByID)
-		for i, c := range remaining {
-			rs.mcands[i] = multistep.Candidate{ID: int(c.id), LB: c.lbSq, UB: c.ubSq}
-			if c.exactPt != nil {
-				rs.exactByID[c.id] = c.exactPt
-			}
-		}
-		refined, _, err := rs.msc.SearchSq(q, rs.mcands, kNeed, rs.fetch, rs.rbuf[:0])
-		if err != nil {
-			return nil, rs.st, err
-		}
-		rs.rbuf = refined[:0]
-		for _, r := range refined {
-			results = append(results, r.ID)
-		}
-	}
-	st.RefineTime = time.Since(t2)
-	st.SimulatedIO = time.Duration(st.PageReads) * se.tio
-	for s := range se.units {
-		if rs.failed[s] {
-			st.Degraded = true
-			st.FailedShards = append(st.FailedShards, s)
-		}
-	}
-
-	rs.account(q, sink)
-	return results, rs.st, nil
-}
-
-// account folds one served query into the router's, the engaged units' and
-// their serving engines' aggregates, then hands the statistics to sink.
-func (rs *routerScratch) account(q []float32, sink shardSink) {
-	se := rs.se
-	se.agg.Add(rs.st)
-	for s, u := range se.units {
-		if sst := &rs.shardSt[s]; sst.Candidates > 0 || sst.Fetched > 0 {
-			sst.SimulatedIO = time.Duration(sst.PageReads) * se.tio
-			u.agg.Add(*sst)
-			rs.engs[s].agg.Add(*sst)
-		}
-	}
-	if sink != nil {
-		sink(q, &rs.st, rs.shardSt)
-	}
-}
-
 // SearchBatch is Engine.SearchBatch scatter-gathered across shards:
-// per-query Phase 1+2 through the router, then one cross-query coalesced
-// refinement whose fetch units are (shard, local unit) pairs. Because the
-// partitioner is fetch-unit granular, those units biject with the unsharded
-// file's pages and per-query PageReads match the unsharded batch exactly.
+// per-query Phase 1+2 through the router, then the one cross-query coalesced
+// refinement over (shard, local unit) fetch units, so per-query PageReads
+// match the unsharded batch exactly.
 func (se *ShardedEngine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
 	return se.searchBatch(ctx, qs, k, nil)
-}
-
-// searchBatch is SearchBatch with the per-query statistics sink of search.
-func (se *ShardedEngine) searchBatch(ctx context.Context, qs [][]float32, k int, sink shardSink) ([][]int, []QueryStats, error) {
-	if len(qs) == 0 {
-		return nil, nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	n := len(qs)
-	degradedOK := se.degradedOK.Load()
-	rss := make([]*routerScratch, n)
-	for j := range rss {
-		rss[j] = se.getScratch()
-		rss[j].ctx = ctx
-		rss[j].st = QueryStats{}
-		rss[j].degradedOK = degradedOK
-	}
-	defer func() {
-		for _, rs := range rss {
-			se.putScratch(rs)
-		}
-	}()
-
-	results := make([][]int, n)
-	remainings := make([][]candState, n)
-	if err := batchFan(n, func(j int) error {
-		var err error
-		results[j], remainings[j], err = se.phase12(ctx, rss[j], qs[j], k, nil, nil)
-		return err
-	}); err != nil {
-		return nil, nil, err
-	}
-
-	// Assemble the coalesced refinement over (shard, local unit) ids.
-	t2 := time.Now()
-	items := make([]multistep.BatchQuery, n)
-	pageIDs := make(map[int32][]int)         // unit → local ids to decode
-	onPage := make(map[int32]map[int32]bool) // dedup guard for pageIDs
-	for j := range qs {
-		var seeds, pending []multistep.GroupCandidate
-		for _, c := range remainings[j] {
-			if c.exactPt != nil {
-				seeds = append(seeds, multistep.GroupCandidate{ID: c.id, Group: -1, LBSq: c.lbSq})
-				continue
-			}
-			s := se.owner[c.id]
-			if rss[j].failed[s] {
-				continue // neutralized candidate of a failed shard
-			}
-			lid := int(se.local[c.id])
-			page, err := se.units[s].PF.PageOf(lid)
-			if err != nil {
-				return nil, nil, err
-			}
-			u := se.unitBase[s] + int32(page)
-			pending = append(pending, multistep.GroupCandidate{ID: c.id, Group: u, LBSq: c.lbSq})
-			seen := onPage[u]
-			if seen == nil {
-				seen = make(map[int32]bool)
-				onPage[u] = seen
-			}
-			if !seen[c.id] {
-				seen[c.id] = true
-				pageIDs[u] = append(pageIDs[u], lid)
-			}
-		}
-		items[j] = multistep.BatchQuery{
-			Q: qs[j], Seeds: seeds, Pending: pending,
-			K: k - rss[j].st.TrueHits, OwnOnly: true,
-		}
-	}
-
-	// failBatchShard marks shard s failed for every query of the batch: a
-	// unit read serves all demanders, so its failure degrades all of them.
-	failBatchShard := func(s int) {
-		se.units[s].fetchFailures.Add(1)
-		se.units[s].quarantined.Store(true)
-		for _, rs := range rss {
-			rs.failed[s] = true
-		}
-	}
-	fetch := func(unit int32, item int) ([]int32, [][]float32, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		s := se.shardOfUnit(unit)
-		if rss[item].failed[s] {
-			return nil, nil, fmt.Errorf("core: shard %d failed: %w", s, multistep.ErrSkipCandidate)
-		}
-		e := rss[item].engs[s]
-		lids := pageIDs[unit]
-		pts := make([][]float32, len(lids))
-		if err := e.pf.FetchOnPageCtx(ctx, int(unit-se.unitBase[s]), lids, pts); err != nil {
-			if degradedOK && disk.IsPermanent(err) {
-				failBatchShard(s)
-				return nil, nil, fmt.Errorf("core: shard %d failed (%v): %w", s, err, multistep.ErrSkipCandidate)
-			}
-			return nil, nil, &ShardError{Shard: s, Err: err}
-		}
-		rs := rss[item]
-		rs.st.Fetched += len(lids)
-		rs.st.PageReads += int64(se.pagesPer)
-		rs.shardSt[s].Fetched += len(lids)
-		rs.shardSt[s].PageReads += int64(se.pagesPer)
-		if e.cfg.Policy == cache.LRU {
-			for i, lid := range lids {
-				e.admitLRU(lid, pts[i], rs.codes)
-			}
-		}
-		gids := se.units[s].GlobalIDs
-		out := make([]int32, len(lids))
-		for i, lid := range lids {
-			out[i] = gids[lid]
-		}
-		return out, pts, nil
-	}
-	refined, _, err := multistep.SearchBatchSq(items, fetch)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	share := time.Since(t2) / time.Duration(n)
-	sts := make([]QueryStats, n)
-	for j := range qs {
-		for _, r := range refined[j] {
-			results[j] = append(results[j], r.ID)
-		}
-		rs := rss[j]
-		rs.st.RefineTime = share
-		rs.st.SimulatedIO = time.Duration(rs.st.PageReads) * se.tio
-		for s := range se.units {
-			if rs.failed[s] {
-				rs.st.Degraded = true
-				rs.st.FailedShards = append(rs.st.FailedShards, s)
-			}
-		}
-		rs.account(qs[j], sink)
-		sts[j] = rs.st
-	}
-	return results, sts, nil
-}
-
-// shardOfUnit inverts the unitBase offsets: the shard whose unit id range
-// contains unit.
-func (se *ShardedEngine) shardOfUnit(unit int32) int {
-	// sort.Search over the N+1 fence array: first s with unitBase[s+1] > unit.
-	return sort.Search(len(se.units), func(s int) bool { return se.unitBase[s+1] > unit })
 }

@@ -175,7 +175,10 @@ func TestShardedSearchBitIdentical(t *testing.T) {
 
 // TestShardedBatchBitIdentical pins the batch path: one cross-query
 // coalesced refinement over (shard, unit) ids must read the same pages and
-// return the same results as the unsharded batch.
+// return the same results as the unsharded batch. The batch entry points take
+// no Merge overlay, so there is no merged batch to hold to this contract; the
+// overlay's bit-identity is pinned on the single-query path (merge_test.go),
+// which shares phase12 with the batch.
 func TestShardedBatchBitIdentical(t *testing.T) {
 	w := buildTieWorld(t, 1203, 16, 4)
 	cfg := Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6}

@@ -295,7 +295,8 @@ func readSnapshotBody(br *bufio.Reader, pf *disk.PointFile, ds *dataset.Dataset,
 		return nil, fmt.Errorf("core: snapshot smoothing epsilon %v is not a finite non-negative number", smooth)
 	}
 
-	e := &Engine{ds: ds, pf: pf, cands: cands, cfg: cfg}
+	e := &Engine{ds: ds, pf: pf}
+	e.cfg = cfg
 
 	var kind uint8
 	if err := read(&kind); err != nil {
@@ -437,6 +438,6 @@ func readSnapshotBody(br *bufio.Reader, pf *disk.PointFile, ds *dataset.Dataset,
 			e.approx.FillHFF(keys, e.pointEncoder())
 		}
 	}
-	e.finalize()
+	e.finalize(cands)
 	return e, nil
 }
