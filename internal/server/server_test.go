@@ -635,3 +635,39 @@ func TestStatsNoShardBlockUnsharded(t *testing.T) {
 		t.Fatalf("unsharded /stats has a shards block: %v", out["shards"])
 	}
 }
+
+// TestBareSearcherShape pins what a Searcher with no optional capability
+// serves: the base key sets on /stats and /metrics with no telemetry block at
+// all, 501 on /search/batch, and no write routes.
+func TestBareSearcherShape(t *testing.T) {
+	srv := newTestServer(t)
+	for path, want := range map[string][]string{
+		"/stats": {"queries", "avg_fetched", "hit_ratio", "refine_ratio", "avg_candidates"},
+		"/metrics": {"queries", "batches", "in_flight", "admission_limit", "shed", "batch_shed", "canceled",
+			"encode_errors", "degraded_searches", "transient_failures", "latency"},
+	} {
+		out := getJSON(t, srv, path)
+		if len(out) != len(want) {
+			t.Fatalf("%s has %d keys, want %d: %v", path, len(out), len(want), out)
+		}
+		for _, k := range want {
+			if _, ok := out[k]; !ok {
+				t.Fatalf("%s misses %q: %v", path, k, out)
+			}
+		}
+	}
+	for path, want := range map[string]int{
+		"/insert":       http.StatusNotFound,
+		"/delete":       http.StatusNotFound,
+		"/search/batch": http.StatusNotImplemented,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte(`{}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
