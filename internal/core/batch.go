@@ -35,19 +35,13 @@ func (e *Engine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]in
 	return e.searchBatch(ctx, qs, k, nil)
 }
 
-// SearchBatch is the tree-engine batch search. See the TreeEngine
-// SearchBatchCtx.
-func (e *TreeEngine) SearchBatch(qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return e.SearchBatchCtx(context.Background(), qs, k)
-}
-
-// SearchBatchCtx searches every query of qs for its k nearest over the tree
+// SearchBatch searches every query of qs for its k nearest over the tree
 // index, loading each leaf at most once across the whole batch during
 // refinement. Phase 2's own leaf loads (uncached leaves visited in bound
 // order) remain per-query; the coalescing applies to Phase 3, where the
 // bulk of correlated batches' I/O overlaps. Results match standalone
 // SearchCtx calls query for query.
-func (e *TreeEngine) SearchBatchCtx(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
+func (e *TreeEngine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
 	}

@@ -149,14 +149,14 @@ func TestTreeSearchBatchCoalescesAndMatchesPerQuery(t *testing.T) {
 	soloIDs := make([][]int, len(batch))
 	var soloReads int64
 	for j, q := range batch {
-		ids, st, err := eng.SearchCtx(context.Background(), q, k)
+		ids, st, err := eng.SearchCtx(context.Background(), q, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		soloIDs[j] = ids
 		soloReads += st.PageReads
 	}
-	gotIDs, sts, err := eng.SearchBatchCtx(context.Background(), batch, k)
+	gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +239,10 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids, sts, err := te.SearchBatch(nil, 5); err != nil || ids != nil || sts != nil {
+	if ids, sts, err := te.SearchBatch(context.Background(), nil, 5); err != nil || ids != nil || sts != nil {
 		t.Fatalf("empty tree batch: %v %v %v", ids, sts, err)
 	}
-	if _, _, err := te.SearchBatchCtx(ctx, tw.qtest[:2], 5); err == nil {
+	if _, _, err := te.SearchBatch(ctx, tw.qtest[:2], 5); err == nil {
 		t.Fatal("canceled context not surfaced by tree batch")
 	}
 }

@@ -133,7 +133,7 @@ func TestTreeEngineCanceledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, st, err := eng.SearchCtx(ctx, q, 5); !errors.Is(err, context.Canceled) {
+	if _, st, err := eng.SearchCtx(ctx, q, 5, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled ctx: err = %v, want context.Canceled", err)
 	} else if st.Fetched != 0 || st.PageReads != 0 {
 		t.Fatalf("pre-canceled ctx charged I/O: %+v", st)
@@ -147,7 +147,7 @@ func TestTreeEngineCanceledContext(t *testing.T) {
 		t.Fatal("reference tree query read no pages; fixture cannot exercise I/O abandonment")
 	}
 	for fuse := int64(1); ; fuse++ {
-		_, st, err := eng.SearchCtx(newFuseCtx(fuse), q, 5)
+		_, st, err := eng.SearchCtx(newFuseCtx(fuse), q, 5, nil)
 		if err == nil {
 			break
 		}

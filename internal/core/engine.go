@@ -32,8 +32,6 @@ type Config struct {
 	// Algorithm 2 so buckets stay sane where the workload is silent
 	// (default 0.01; 0 disables).
 	SmoothEps float64
-	// STRSortDims controls mHC-R's R-tree tiling depth (default 2).
-	STRSortDims int
 	// NoTrueHitDetection disables Algorithm 1's true-result detection
 	// (Case ii), for the ablation bench.
 	NoTrueHitDetection bool
@@ -50,12 +48,15 @@ type Config struct {
 	// over contiguous candidate chunks when |C(q)| reaches it. 0 selects the
 	// default (4096); negative keeps reduction single-threaded.
 	ParallelReduceThreshold int
-	// NoSlab keeps approximate HFF content in the map-backed Cache instead of
-	// the slab-packed arena. The slab is the production layout; this switch
-	// exists for ablation benchmarks and the slab-vs-map equivalence tests
-	// (results are bit-identical either way).
-	NoSlab bool
+
+	// noSlab keeps approximate HFF content in the map-backed Cache instead of
+	// the slab-packed arena: the reference layout of the slab-vs-map
+	// equivalence tests and benchmarks (results are bit-identical either way).
+	noSlab bool
 }
+
+// strSortDims is mHC-R's R-tree tiling depth.
+const strSortDims = 2
 
 // defaultParallelReduceThreshold is the |C(q)| above which goroutine fan-out
 // beats a single-core scan of the candidate states.
@@ -67,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SmoothEps < 0 {
 		c.SmoothEps = 0
-	}
-	if c.STRSortDims < 1 {
-		c.STRSortDims = 2
 	}
 	return c
 }
@@ -86,8 +84,9 @@ type Engine struct {
 
 	// Approximate-point machinery (HC-*, iHC-*, C-VA). HFF content lives in
 	// the slab-packed arena (slab); the map-backed cache (approx) serves the
-	// LRU policy and the NoSlab ablation path. Exactly one of the two is
-	// non-nil for an approximate-point method.
+	// LRU policy and the eager-fetch ablation, and is the equivalence suite's
+	// reference layout. Exactly one of the two is non-nil for an
+	// approximate-point method; see slabLayout.
 	codec  encoding.Codec
 	table  *bounds.Table
 	approx *cache.Cache[[]uint64]
@@ -167,7 +166,7 @@ func newModel(prof *Profile, cfg Config) (e *Engine, content []int, capacity int
 			numLeaves = ds.Len()
 		}
 		start := time.Now()
-		rt := rtree.BuildSTR(ds, numLeaves, cfg.STRSortDims)
+		rt := rtree.BuildSTR(ds, numLeaves, strSortDims)
 		lo, hi := rt.MBRs()
 		md, err := histogram.NewMD(lo, hi, rt.Assignment(ds.Len()))
 		if err != nil {
@@ -290,26 +289,25 @@ func (e *Engine) fillCache(content []int, capacity int) {
 			})
 		}
 
-	case cfg.Method == CVA:
-		if cfg.Policy == cache.HFF && !cfg.NoSlab {
-			e.slab = cache.BuildSlab(e.ds.Len(), e.codec.Words(), capacity, content, e.slabFiller())
-		} else {
-			// LRU (and the NoSlab ablation) keeps the mutable map cache;
-			// FillHFF still warm-starts LRU with the profile's ranking.
-			e.approx = cache.New[[]uint64](capacity, cfg.Policy)
-			e.approx.FillHFF(content, e.pointEncoder())
-		}
+	case cfg.slabLayout():
+		e.slab = cache.BuildSlab(e.ds.Len(), e.codec.Words(), capacity, content, e.slabFiller())
 
 	default:
-		if cfg.Policy == cache.HFF && !cfg.NoSlab {
-			e.slab = cache.BuildSlab(e.ds.Len(), e.codec.Words(), capacity, content, e.slabFiller())
-		} else {
-			e.approx = cache.New[[]uint64](capacity, cfg.Policy)
-			if cfg.Policy == cache.HFF {
-				e.approx.FillHFF(content, e.pointEncoder())
-			}
+		e.approx = cache.New[[]uint64](capacity, cfg.Policy)
+		if cfg.Policy == cache.HFF || cfg.Method == CVA {
+			// C-VA warm-starts even LRU with the profile's ranking.
+			e.approx.FillHFF(content, e.pointEncoder())
 		}
 	}
+}
+
+// slabLayout reports whether an approximate-point method keeps its codes in
+// the immutable slab arena — the production layout, scanned by the fused
+// blocked kernel. The mutable map cache serves what the arena cannot: LRU
+// replacement, and the footnote-6 eager-fetch ablation, whose Phase 2 is
+// serial and per-candidate anyway.
+func (c Config) slabLayout() bool {
+	return c.Policy == cache.HFF && !c.EagerFetchMisses && !c.noSlab
 }
 
 // finalize installs the derived fast-path state, plugs the engine into its
@@ -466,16 +464,12 @@ func (e *Engine) reduce(sc *searchScratch, q []float32, ids []int, cs []candStat
 	sc.st.UsedLUT = lut != nil
 	workers := e.reduceWorkers(len(ids))
 	sc.st.ReduceWorkers = workers
-	switch {
-	case e.slab != nil && !e.cfg.EagerFetchMisses:
+	if e.slab != nil {
 		// Fused blocked kernel straight off the slab arena; blocks are the
 		// unit of parallelism above the threshold.
 		return e.reduceSlab(sc.ctx, q, ids, cs, lut, k, workers, sc, xb)
-	case workers > 1:
-		return e.reduceParallel(sc.ctx, q, ids, cs, lut, workers, &sc.st)
-	default:
-		return e.reduceSerial(sc.ctx, q, ids, cs, lut, sc)
 	}
+	return e.reduceMap(q, ids, cs, lut, workers, sc)
 }
 
 // fetchPoint reads point id (this engine's id space) from the point file
@@ -570,9 +564,9 @@ func (e *Engine) reduceWorkers(n int) int {
 	return workers
 }
 
-// scoreCandidate fills c with the cache-derived squared bounds of candidate
-// id and reports whether the cache hit. Misses keep the vacuous bounds
-// (0, +Inf) of Algorithm 1 line 4.
+// scoreCandidate fills c with the squared bounds candidate id derives from
+// the map-backed caches and reports whether the cache hit. Misses keep the
+// vacuous bounds (0, +Inf) of Algorithm 1 line 4.
 func (e *Engine) scoreCandidate(q []float32, id int, c *candState, lut *bounds.QueryLUT) bool {
 	c.id = int32(id)
 	c.leaf = -1
@@ -580,20 +574,6 @@ func (e *Engine) scoreCandidate(q []float32, id int, c *candState, lut *bounds.Q
 	c.exactPt = nil
 	c.known = false
 	switch {
-	case e.slab != nil:
-		// The blocked kernel is the fast path; this per-candidate form serves
-		// the eager-fetch ablation, which stays serial.
-		if slot := e.slab.SlotOf(id); slot >= 0 {
-			words := e.slab.Words(slot)
-			if lut != nil {
-				c.lbSq, c.ubSq = lut.BoundsSqPacked(words, e.codec)
-			} else {
-				c.lbSq, c.ubSq = e.table.BoundsSqPacked(q, words, e.codec)
-			}
-			e.slab.AddStats(1, 0)
-			return true
-		}
-		e.slab.AddStats(0, 1)
 	case e.approx != nil:
 		if words, ok := e.approx.Get(id); ok {
 			if lut != nil {
@@ -620,59 +600,61 @@ func (e *Engine) scoreCandidate(q []float32, id int, c *candState, lut *bounds.Q
 	return false
 }
 
-// reduceSerial scores every candidate on the calling goroutine, handling
-// the eager-fetch ablation path. The context is polled every
-// cancelCheckStride candidates so giant candidate sets cannot pin a worker
-// past the client's deadline.
-func (e *Engine) reduceSerial(ctx context.Context, q []float32, ids []int, cs []candState, lut *bounds.QueryLUT, sc *searchScratch) error {
-	st := &sc.st
-	for i, id := range ids {
-		if i&(cancelCheckStride-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+// reduceMap is Phase 2 over the map-backed caches (everything but the slab
+// layout): contiguous candidate chunks through one loop body, fanned out via
+// scoreParallel above the parallel threshold and run inline below it. The
+// caches are concurrency-safe (HFF immutable, LRU internally locked) and the
+// LUT is read-only; workers touch disjoint cs slots, and the partially scored
+// states of an abandoned request are discarded by the caller's error return.
+func (e *Engine) reduceMap(q []float32, ids []int, cs []candState, lut *bounds.QueryLUT, workers int, sc *searchScratch) error {
+	var hits int64
+	if workers > 1 {
+		hits = scoreParallel(len(ids), workers, func(lo, hi int) int64 {
+			h, _ := e.mapReduceRange(q, ids, cs, lut, lo, hi, sc) // cancellation surfaces below
+			return h
+		})
+	} else {
+		var err error
+		if hits, err = e.mapReduceRange(q, ids, cs, lut, 0, len(ids), sc); err != nil {
+			return err
+		}
+	}
+	if err := sc.ctx.Err(); err != nil {
+		return err
+	}
+	sc.st.Hits += int(hits)
+	return nil
+}
+
+// mapReduceRange scores candidates ids[lo:hi] into cs[lo:hi], polling the
+// context every cancelCheckStride candidates so giant candidate sets cannot
+// pin a worker past the client's deadline. Under the eager-fetch ablation a
+// miss is read from disk on the spot; that path writes the query's scratch,
+// which is safe because reduceWorkers keeps an eager reduction on one
+// goroutine.
+func (e *Engine) mapReduceRange(q []float32, ids []int, cs []candState, lut *bounds.QueryLUT, lo, hi int, sc *searchScratch) (int64, error) {
+	var hits int64
+	for i := lo; i < hi; i++ {
+		if (i-lo)&(cancelCheckStride-1) == 0 {
+			if err := sc.ctx.Err(); err != nil {
+				return hits, err
 			}
 		}
-		if e.scoreCandidate(q, id, &cs[i], lut) {
-			st.Hits++
+		if e.scoreCandidate(q, ids[i], &cs[i], lut) {
+			hits++
 		} else if e.cfg.EagerFetchMisses {
-			p, err := e.pf.FetchCtx(ctx, id, sc.fetchBuf)
+			p, err := e.pf.FetchCtx(sc.ctx, ids[i], sc.fetchBuf)
 			if err != nil {
-				return err
+				return hits, err
 			}
-			st.Fetched++
-			st.PageReads += int64(e.pf.PagesPerPoint())
+			sc.st.Fetched++
+			sc.st.PageReads += int64(e.pf.PagesPerPoint())
 			d2 := vec.SqDist(q, p)
 			cs[i].lbSq, cs[i].ubSq = d2, d2
 			cs[i].exactPt = append([]float32(nil), p...)
 		}
 	}
-	return nil
-}
-
-// reduceParallel fans candidate scoring across workers over contiguous
-// chunks via the shared reduction core. Workers touch disjoint cs slots; the
-// caches are concurrency-safe (HFF immutable, LRU internally locked) and the
-// LUT is read-only. Each worker polls the context every cancelCheckStride
-// candidates and abandons its chunk when the request is gone; the partially
-// scored states are discarded by the caller's error return.
-func (e *Engine) reduceParallel(ctx context.Context, q []float32, ids []int, cs []candState, lut *bounds.QueryLUT, workers int, st *QueryStats) error {
-	hits := scoreParallel(len(ids), workers, func(lo, hi int) int64 {
-		var h int64
-		for i := lo; i < hi; i++ {
-			if (i-lo)&(cancelCheckStride-1) == 0 && ctx.Err() != nil {
-				return h
-			}
-			if e.scoreCandidate(q, ids[i], &cs[i], lut) {
-				h++
-			}
-		}
-		return h
-	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	st.Hits += int(hits)
-	return nil
+	return hits, nil
 }
 
 // admitLRU inserts a freshly fetched point into a dynamic cache, quantizing

@@ -57,7 +57,7 @@ func benchAllHitsEngine(b *testing.B, lutMin, parMin int, noSlab bool) (*Engine,
 	eng, err := NewEngine(w.pf, w.prof, static, Config{
 		Method: CVA, CacheBytes: 1 << 30,
 		LUTMinCandidates: lutMin, ParallelReduceThreshold: parMin,
-		NoSlab: noSlab,
+		noSlab: noSlab,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -102,7 +102,7 @@ func BenchmarkEngineSearchNoLUT(b *testing.B) {
 }
 
 // BenchmarkEngineSearchMap is BenchmarkEngineSearch on the map-backed layout
-// (Config.NoSlab) — the before/after pair that prices the slab arena and the
+// (Config.noSlab) — the before/after pair that prices the slab arena and the
 // fused blocked kernel. Must also stay 0 allocs/op.
 func BenchmarkEngineSearchMap(b *testing.B) {
 	eng, q := benchAllHitsEngine(b, 0, -1, true)

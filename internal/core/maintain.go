@@ -748,9 +748,14 @@ func (m *Maintainer) ShardStats() []MaintainStats {
 }
 
 // Stats aggregates the per-slot rebuild activity; see MaintainStats.
-func (m *Maintainer) Stats() MaintainStats {
+func (m *Maintainer) Stats() MaintainStats { return FoldMaintainStats(m.ShardStats()) }
+
+// FoldMaintainStats is the all-slot aggregate of one ShardStats snapshot:
+// callers that show the rows and the aggregate side by side fold the rows
+// they show, so the two cannot disagree.
+func FoldMaintainStats(rows []MaintainStats) MaintainStats {
 	var st MaintainStats
-	for s, ss := range m.ShardStats() {
+	for s, ss := range rows {
 		st.Rebuilds += ss.Rebuilds
 		st.RebuildErrors += ss.RebuildErrors
 		st.RebuildInFlight = st.RebuildInFlight || ss.RebuildInFlight

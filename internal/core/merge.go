@@ -46,16 +46,3 @@ func (e *Engine) NumPoints() int { return e.ds.Len() }
 
 // Dim returns the dataset dimensionality.
 func (e *Engine) Dim() int { return e.ds.Dim }
-
-// EncodePoint quantizes p through the engine's live histogram into a packed
-// HFF code, or returns nil when the method keeps no per-point codes
-// (NoCache, Exact, mHC-R). The delta index records these codes so that a
-// freshly ingested point carries the same representation a cached base point
-// would.
-func (e *Engine) EncodePoint(p []float32) []uint64 {
-	if e.codec.Dim() == 0 { // zero-value codec: method keeps no codes
-		return nil
-	}
-	codes := make([]int, e.ds.Dim)
-	return e.encodeVector(p, codes, nil)
-}

@@ -6,12 +6,12 @@ import (
 )
 
 // TestSlabEquivalence pins the slab-packed reduction against the map-backed
-// path (Config.NoSlab) bit for bit: identical result identifiers in identical
-// order and identical per-query statistics — Candidates, Hits, Pruned,
-// TrueHits, Remaining, Fetched, PageReads — across methods, LUT gating,
-// serial vs parallel reduction, the eager-fetch ablation and several k. The
-// early-abandon threshold of the blocked kernel must be invisible here; see
-// slabReduceRange for the argument why.
+// reference path (Config.noSlab) bit for bit: identical result identifiers in
+// identical order and identical per-query statistics — Candidates, Hits,
+// Pruned, TrueHits, Remaining, Fetched, PageReads — across methods, LUT
+// gating, serial vs parallel reduction and several k. The early-abandon
+// threshold of the blocked kernel must be invisible here; see slabReduceRange
+// for the argument why.
 func TestSlabEquivalence(t *testing.T) {
 	w := buildWorld(t, 1500, 12, 77)
 	type variant struct {
@@ -26,7 +26,6 @@ func TestSlabEquivalence(t *testing.T) {
 		{"hcd-tau8", Config{Method: HCD, CacheBytes: 96 << 10, Tau: 8}, []int{5}},
 		{"ihco", Config{Method: IHCO, CacheBytes: 64 << 10, Tau: 6}, []int{5}},
 		{"cva", Config{Method: CVA, CacheBytes: 32 << 10}, []int{5}},
-		{"hco-eager", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, EagerFetchMisses: true}, []int{5}},
 		{"hco-notruehit", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, NoTrueHitDetection: true}, []int{5}},
 	}
 	for _, v := range variants {
@@ -40,13 +39,13 @@ func TestSlabEquivalence(t *testing.T) {
 				t.Fatal("expected the slab layout for an HFF engine")
 			}
 			mapCfg := v.cfg
-			mapCfg.NoSlab = true
+			mapCfg.noSlab = true
 			mapEng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), mapCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if mapEng.approx == nil {
-				t.Fatal("expected the map layout under NoSlab")
+				t.Fatal("expected the map layout under noSlab")
 			}
 			if got, want := slabEng.CacheLen(), mapEng.CacheLen(); got != want {
 				t.Fatalf("slab caches %d items, map %d", got, want)
@@ -76,6 +75,28 @@ func TestSlabEquivalence(t *testing.T) {
 	}
 }
 
+// TestSlabEquivalenceEagerBuildsMap: the footnote-6 ablation scores candidates one
+// at a time with disk reads in between, which the blocked slab kernel cannot
+// do, so an eager engine is built over the map cache and Phase 2 dispatches on
+// the layout alone.
+func TestSlabEquivalenceEagerBuildsMap(t *testing.T) {
+	w := buildWorld(t, 1500, 12, 77)
+	eng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, EagerFetchMisses: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.slab != nil || eng.approx == nil {
+		t.Fatal("an eager-fetch engine must keep its codes in the map cache")
+	}
+	_, st, err := eng.Search(w.qtest[0], 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Fetched < st.Candidates-st.Hits {
+		t.Fatalf("eager fetch read %d points for %d misses", st.Fetched, st.Candidates-st.Hits)
+	}
+}
+
 // TestSlabKeysMatchMap pins the admitted cache content itself: the slab must
 // hold exactly the ids the map-backed FillHFF admits, in the same Keys()
 // order (ascending), so snapshots written from either layout are identical.
@@ -86,7 +107,7 @@ func TestSlabKeysMatchMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.NoSlab = true
+	cfg.noSlab = true
 	mapEng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -352,22 +352,14 @@ func (sc *treeScratch) loadGroup(group int32) ([]int32, []float64, error) {
 // results without ever fetching their leaf — the identifiers are the answer,
 // per Definition 3's remark.
 func (e *TreeEngine) Search(q []float32, k int) ([]int, QueryStats, error) {
-	return e.SearchIntoCtx(context.Background(), q, k, nil)
-}
-
-// SearchCtx is Search under a request context: a canceled or expired ctx
-// abandons the query at the next check point — before each uncached leaf
-// load in Phase 2, before refinement starts, and before every group load —
-// returning ctx.Err() (possibly wrapped).
-func (e *TreeEngine) SearchCtx(ctx context.Context, q []float32, k int) ([]int, QueryStats, error) {
-	return e.SearchIntoCtx(ctx, q, k, nil)
+	return e.SearchCtx(context.Background(), q, k, nil)
 }
 
 // SearchInto is Search appending the result identifiers to dst (pass
 // dst[:0] to reuse a buffer across queries; with every visited leaf cached
 // the steady state then allocates nothing).
 func (e *TreeEngine) SearchInto(q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return e.SearchIntoCtx(context.Background(), q, k, dst)
+	return e.SearchCtx(context.Background(), q, k, dst)
 }
 
 // phase12 runs Phase 1 (leaf visit order) and Phase 2 (cached-leaf scoring,
@@ -502,9 +494,11 @@ func (e *TreeEngine) phase12(ctx context.Context, sc *treeScratch, q []float32, 
 	return results, nil
 }
 
-// SearchIntoCtx is SearchInto under a request context; see SearchCtx for
-// the cancellation semantics.
-func (e *TreeEngine) SearchIntoCtx(ctx context.Context, q []float32, k int, dst []int) ([]int, QueryStats, error) {
+// SearchCtx is the full-signature search: SearchInto under a request context.
+// A canceled or expired ctx abandons the query at the next check point —
+// before each uncached leaf load in Phase 2, before refinement starts, and
+// before every group load — returning ctx.Err() (possibly wrapped).
+func (e *TreeEngine) SearchCtx(ctx context.Context, q []float32, k int, dst []int) ([]int, QueryStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, QueryStats{}, err
 	}

@@ -1,7 +1,6 @@
-// The delta index: the in-memory overlay holding points inserted since the
-// last compaction (exact vectors plus, when the method keeps per-point codes,
-// HFF codes quantized through the live engine's histogram) and the cumulative
-// tombstone set over base identifiers.
+// The delta index: the in-memory overlay holding the exact vectors of points
+// inserted since the last compaction, and the cumulative tombstone set over
+// base identifiers.
 //
 // Points are append-only in identifier order — the stored prefix is immutable
 // — so a snapshot for a merged search is an O(1) reslice under a read lock.
@@ -23,9 +22,8 @@ import (
 // Delta is the in-memory delta index. One writer at a time (the Live write
 // lock); any number of concurrent readers.
 type Delta struct {
-	mu    sync.RWMutex
-	pts   []core.MergePoint
-	codes [][]uint64 // parallel to pts; nil entries for code-free methods
+	mu  sync.RWMutex
+	pts []core.MergePoint
 
 	tombs  atomic.Pointer[map[int64]struct{}]
 	nTombs atomic.Int64
@@ -45,10 +43,9 @@ func NewDelta(tombs map[int64]struct{}) *Delta {
 
 // Add appends a point. Identifiers must arrive in increasing order (the Live
 // write lock guarantees it).
-func (d *Delta) Add(id int32, vec []float32, code []uint64) {
+func (d *Delta) Add(id int32, vec []float32) {
 	d.mu.Lock()
 	d.pts = append(d.pts, core.MergePoint{ID: id, Vec: vec})
-	d.codes = append(d.codes, code)
 	d.mu.Unlock()
 }
 
@@ -105,7 +102,6 @@ func (d *Delta) Prune(horizon int32) {
 	}
 	// Copy the survivors out so the folded prefix's memory can be reclaimed.
 	d.pts = append([]core.MergePoint(nil), d.pts[i:]...)
-	d.codes = append([][]uint64(nil), d.codes[i:]...)
 }
 
 // Len reports the number of delta points.
@@ -118,12 +114,3 @@ func (d *Delta) Len() int {
 
 // Tombstones reports the cumulative tombstone count.
 func (d *Delta) Tombstones() int { return int(d.nTombs.Load()) }
-
-// Code returns the stored HFF code of the i-th delta point (nil for methods
-// that keep no codes). Diagnostic accessor; merged searches score delta
-// points exactly and never consult codes.
-func (d *Delta) Code(i int) []uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.codes[i]
-}

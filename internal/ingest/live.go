@@ -62,9 +62,6 @@ type Config struct {
 	// BuildCands rebuilds the Phase-1 candidate index over a folded dataset
 	// during compaction. Required when Compactor is set.
 	BuildCands func(ds *dataset.Dataset) core.CandidateFunc
-	// Encode quantizes a new point through the live engine's histogram into
-	// an HFF code for the delta index; nil (or a nil return) records no code.
-	Encode func(p []float32) []uint64
 	// CompactThreshold is the delta point count that triggers compaction
 	// (default 4096; ignored without a Compactor).
 	CompactThreshold int
@@ -203,10 +200,6 @@ func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 	p := make([]float32, len(v))
 	copy(p, v)
 	l.dom.ClampPoint(p)
-	var code []uint64
-	if l.cfg.Encode != nil {
-		code = l.cfg.Encode(p)
-	}
 	l.mu.Lock()
 	id := l.nextID
 	if id > math.MaxInt32 {
@@ -217,7 +210,7 @@ func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 		l.mu.Unlock()
 		return 0, err
 	}
-	l.delta.Add(int32(id), p, code)
+	l.delta.Add(int32(id), p)
 	l.nextID++
 	l.inserts.Add(1)
 	l.maybeCompactLocked()

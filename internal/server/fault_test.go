@@ -153,17 +153,14 @@ func TestBatchDegradedAndTransient(t *testing.T) {
 }
 
 func TestMetricsIOBlock(t *testing.T) {
-	srv, h := newFaultServer(t)
-
-	// No source registered: no io object.
+	// No Reporter: no io object.
+	srv, _ := newFaultServer(t)
 	m := getJSON(t, srv, "/metrics")
 	if _, ok := m["io"]; ok {
 		t.Fatalf("io block present without a source: %v", m["io"])
 	}
 
-	h.SetIOStats(func() IOStats {
-		return IOStats{Retries: 5, TransientErrors: 6, PermanentErrors: 1}
-	})
+	srv, _ = newReportingServer(t, Report{IO: &IOStats{Retries: 5, TransientErrors: 6, PermanentErrors: 1}})
 	m = getJSON(t, srv, "/metrics")
 	io := m["io"].(map[string]any)
 	if io["io_retries"].(float64) != 5 ||
@@ -174,15 +171,10 @@ func TestMetricsIOBlock(t *testing.T) {
 }
 
 func TestStatsShardQuarantineVisible(t *testing.T) {
-	h, _ := newTestHandler()
-	h.SetShardStats(func() []ShardStat {
-		return []ShardStat{
-			{Shard: 0, Points: 10},
-			{Shard: 1, Points: 10, Quarantined: true, FetchFailures: 3},
-		}
-	})
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
+	srv, _ := newReportingServer(t, Report{Shards: []ShardStat{
+		{Shard: 0, Points: 10},
+		{Shard: 1, Points: 10, Quarantined: true, FetchFailures: 3},
+	}})
 
 	out := getJSON(t, srv, "/stats")
 	shards := out["shards"].([]any)

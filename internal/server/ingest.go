@@ -1,4 +1,4 @@
-// Live-ingest endpoints. When an Ingestor is registered the handler
+// Live-ingest endpoints. Over a Searcher that is also an Ingestor the handler
 // additionally serves:
 //
 //	POST /insert  {"vector": [...]}  → {"id": 123}
@@ -6,18 +6,16 @@
 //
 // Writes pass the same admission gate as searches (a write is work too) and
 // the same vector validation as /search — dimensionality and finiteness are
-// checked before anything reaches the write-ahead log. With an IngestStats
-// source registered, /stats and /metrics carry an "ingest" block: WAL size,
-// delta and tombstone counts, compaction and replay telemetry.
+// checked before anything reaches the write-ahead log. When the Report carries
+// an Ingest block, /stats and /metrics show it: WAL size, delta and tombstone
+// counts, compaction and replay telemetry.
 
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,15 +24,18 @@ import (
 // sentinel to this one (errors.Is).
 var ErrUnknownID = errors.New("server: unknown point id")
 
-// Ingestor is the write-path dependency: durable insert and delete against
-// the live system. Insert returns the point's permanent identifier.
+// Ingestor is the optional write capability, detected on the Searcher by New
+// like BatchSearcher: durable insert and delete against the live system.
+// Insert returns the point's permanent identifier.
 type Ingestor interface {
 	Insert(ctx context.Context, vec []float32) (int, error)
 	Delete(ctx context.Context, id int) error
 }
 
-// IngestStats is the live write path telemetry block for /stats and /metrics.
-type IngestStats struct {
+// IngestCounters is the write path's own snapshot. Its fields mirror
+// ingest.Stats one for one, in order, so the facade converts between the two
+// with a Go struct conversion and a drifted field fails to compile.
+type IngestCounters struct {
 	WalBytes             int64 `json:"wal_bytes"`
 	WalSegments          int   `json:"wal_segments"`
 	DeltaPoints          int   `json:"delta_points"`
@@ -47,10 +48,15 @@ type IngestStats struct {
 	CompactInFlight      bool  `json:"compact_in_flight"`
 	ReplayedRecords      int   `json:"replayed_records"`
 	ReplayTruncatedBytes int64 `json:"replay_truncated_bytes"`
+}
 
-	// ShardWrites breaks writes down by owning shard on sharded deployments
-	// (deletes go to the shard that owns the base point; inserts to the delta
-	// point's future home), absent when unsharded.
+// IngestStats is the live write path telemetry block for /stats and /metrics.
+type IngestStats struct {
+	IngestCounters
+
+	// ShardWrites breaks writes down by owning shard (deletes go to the shard
+	// that owns the base point; inserts to the delta point's future home),
+	// one entry when unsharded.
 	ShardWrites []ShardWriteStat `json:"shard_writes,omitempty"`
 }
 
@@ -59,39 +65,6 @@ type ShardWriteStat struct {
 	Shard   int   `json:"shard"`
 	Inserts int64 `json:"inserts"`
 	Deletes int64 `json:"deletes"`
-}
-
-// ingestState is the handler's write-path wiring, nil until SetIngestor.
-type ingestState struct {
-	ingestor Ingestor
-	stats    func() IngestStats
-
-	inserts   atomic.Int64 // /insert requests answered 200
-	deletes   atomic.Int64 // /delete requests answered 200
-	writeErrs atomic.Int64 // write requests failed 5xx
-	writeShed atomic.Int64 // write requests shed by the admission gate
-	latInsert Histogram
-	latDelete Histogram
-}
-
-// SetIngestor registers the write path; POST /insert and POST /delete are
-// routed from then on. Call before serving.
-func (h *Handler) SetIngestor(ing Ingestor) {
-	if h.ingest == nil {
-		h.ingest = &ingestState{}
-	}
-	h.ingest.ingestor = ing
-	h.mux.HandleFunc("POST /insert", h.handleInsert)
-	h.mux.HandleFunc("POST /delete", h.handleDelete)
-}
-
-// SetIngestStats registers a snapshot source for write-path telemetry;
-// /stats and /metrics then carry an "ingest" object. Call before serving.
-func (h *Handler) SetIngestStats(fn func() IngestStats) {
-	if h.ingest == nil {
-		h.ingest = &ingestState{}
-	}
-	h.ingest.stats = fn
 }
 
 type insertRequest struct {
@@ -110,60 +83,50 @@ type deleteResponse struct {
 	Deleted int `json:"deleted"`
 }
 
-func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
-	ig := h.ingest
-	select {
-	case h.gate <- struct{}{}:
-		defer func() { <-h.gate }()
-	default:
-		ig.writeShed.Add(1)
-		h.shed.Add(1)
+// admitWrite is admission for the write endpoints: one slot, and a refusal
+// counts as write_shed as well as shed.
+func (h *Handler) admitWrite(w http.ResponseWriter) bool {
+	if h.admit(1) > 0 {
+		h.writeShed.Add(1)
 		h.fail(w, http.StatusServiceUnavailable,
 			"saturated: %d requests in flight; retry with backoff", cap(h.gate))
+		return false
+	}
+	return true
+}
+
+func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
+	if !h.admitWrite(w) {
 		return
 	}
+	defer h.release(1)
 	var req insertRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	if err := dec.Decode(&req); err != nil {
-		h.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !h.decode(w, r, 1<<22, &req) {
 		return
 	}
-	if len(req.Vector) != h.cfg.Dim {
-		h.fail(w, http.StatusBadRequest, "vector has %d dimensions, engine serves %d", len(req.Vector), h.cfg.Dim)
-		return
-	}
-	if j := firstNonFinite(req.Vector); j >= 0 {
-		h.fail(w, http.StatusBadRequest, "vector[%d] is not finite", j)
+	if p := h.vectorProblem(req.Vector); p != "" {
+		h.fail(w, http.StatusBadRequest, "vector%s", p)
 		return
 	}
 	start := time.Now()
-	id, err := ig.ingestor.Insert(r.Context(), req.Vector)
+	id, err := h.ingestor.Insert(r.Context(), req.Vector)
 	if err != nil {
-		ig.writeErrs.Add(1)
+		h.writeErrs.Add(1)
 		h.fail(w, http.StatusInternalServerError, "insert failed: %v", err)
 		return
 	}
-	ig.inserts.Add(1)
-	ig.latInsert.Observe(time.Since(start))
+	h.inserts.Add(1)
+	h.latInsert.Observe(time.Since(start))
 	h.writeJSON(w, http.StatusOK, insertResponse{ID: id})
 }
 
 func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request) {
-	ig := h.ingest
-	select {
-	case h.gate <- struct{}{}:
-		defer func() { <-h.gate }()
-	default:
-		ig.writeShed.Add(1)
-		h.shed.Add(1)
-		h.fail(w, http.StatusServiceUnavailable,
-			"saturated: %d requests in flight; retry with backoff", cap(h.gate))
+	if !h.admitWrite(w) {
 		return
 	}
+	defer h.release(1)
 	var req deleteRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err := dec.Decode(&req); err != nil {
-		h.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !h.decode(w, r, 1<<16, &req) {
 		return
 	}
 	if req.ID == nil {
@@ -171,21 +134,22 @@ func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	if err := ig.ingestor.Delete(r.Context(), *req.ID); err != nil {
+	if err := h.ingestor.Delete(r.Context(), *req.ID); err != nil {
 		if errors.Is(err, ErrUnknownID) {
 			h.fail(w, http.StatusNotFound, "unknown id %d", *req.ID)
 			return
 		}
-		ig.writeErrs.Add(1)
+		h.writeErrs.Add(1)
 		h.fail(w, http.StatusInternalServerError, "delete failed: %v", err)
 		return
 	}
-	ig.deletes.Add(1)
-	ig.latDelete.Observe(time.Since(start))
+	h.deletes.Add(1)
+	h.latDelete.Observe(time.Since(start))
 	h.writeJSON(w, http.StatusOK, deleteResponse{Deleted: *req.ID})
 }
 
-// ingestMetrics is the /metrics write-path block.
+// ingestMetrics is the /metrics write-path block: the reported snapshot plus
+// the handler's own request counters.
 type ingestMetrics struct {
 	IngestStats
 	InsertRequests int64             `json:"insert_requests"`
@@ -196,33 +160,22 @@ type ingestMetrics struct {
 	LatDelete      HistogramSnapshot `json:"latency_delete"`
 }
 
-// ingestStatsBlock assembles the /stats ingest object, nil when no write
-// path is wired.
-func (h *Handler) ingestStatsBlock() *IngestStats {
-	if h.ingest == nil || h.ingest.stats == nil {
-		return nil
-	}
-	s := h.ingest.stats()
-	return &s
-}
-
-// ingestMetricsBlock assembles the /metrics ingest object, nil when no write
-// path is wired.
-func (h *Handler) ingestMetricsBlock() *ingestMetrics {
-	ig := h.ingest
-	if ig == nil {
+// ingestMetrics assembles the /metrics ingest object around the report's
+// block, nil when the deployment has neither a write path nor one to report.
+func (h *Handler) ingestMetrics(rep *IngestStats) *ingestMetrics {
+	if h.ingestor == nil && rep == nil {
 		return nil
 	}
 	m := &ingestMetrics{
-		InsertRequests: ig.inserts.Load(),
-		DeleteRequests: ig.deletes.Load(),
-		WriteErrors:    ig.writeErrs.Load(),
-		WriteShed:      ig.writeShed.Load(),
-		LatInsert:      ig.latInsert.Snapshot(),
-		LatDelete:      ig.latDelete.Snapshot(),
+		InsertRequests: h.inserts.Load(),
+		DeleteRequests: h.deletes.Load(),
+		WriteErrors:    h.writeErrs.Load(),
+		WriteShed:      h.writeShed.Load(),
+		LatInsert:      h.latInsert.Snapshot(),
+		LatDelete:      h.latDelete.Snapshot(),
 	}
-	if ig.stats != nil {
-		m.IngestStats = ig.stats()
+	if rep != nil {
+		m.IngestStats = *rep
 	}
 	return m
 }

@@ -7,6 +7,8 @@
 // Endpoints:
 //
 //	POST /search  {"vector": [...], "k": 10} → {"ids": [...], "stats": {...}}
+//	POST /search/batch {"vectors": [[...], ...], "k": 10} (over a BatchSearcher)
+//	POST /insert, POST /delete (over an Ingestor; see ingest.go)
 //	GET  /stats   aggregate statistics since startup
 //	GET  /metrics per-stage latency histograms + admission counters
 //	GET  /healthz liveness
@@ -17,6 +19,10 @@
 // sheds load with 503 once the configured number of searches is in flight,
 // and /metrics exposes lock-free per-stage latency histograms so operators
 // see where queries spend their time.
+//
+// New builds the handler whole from what the Searcher can do: the optional
+// capabilities (BatchSearcher, Ingestor, Reporter) are discovered on it once,
+// every route is registered there, and nothing is mutable afterwards.
 package server
 
 import (
@@ -32,8 +38,8 @@ import (
 	"exploitbit/internal/disk"
 )
 
-// Searcher is the engine-shaped dependency (core.Engine and core.Maintainer
-// both satisfy it via small adapters; the facade wires them). The context
+// Searcher is the engine-shaped dependency (the facade adapts every engine
+// type to it, capabilities included). The context
 // is the request's: implementations abandon work when it is done and return
 // its error (possibly wrapped).
 type Searcher interface {
@@ -46,6 +52,24 @@ type Searcher interface {
 // positional with qs.
 type BatchSearcher interface {
 	SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []Stats, error)
+}
+
+// Reporter is the optional telemetry capability, detected on the Searcher by
+// New like BatchSearcher: the one source of every block of /stats and
+// /metrics that the handler does not count itself. Each GET takes exactly one
+// Report, so the blocks of one response describe one instant.
+type Reporter interface {
+	Report() Report
+}
+
+// Report is one snapshot of a deployment's telemetry. A nil block is a block
+// the deployment does not have, and its key is absent from the response.
+type Report struct {
+	IO        *IOStats        // /metrics "io"
+	Maintain  *RebuildStats   // /stats "maintain"
+	CostModel *CostModelStats // /metrics "costmodel"
+	Ingest    *IngestStats    // "ingest" on both
+	Shards    []ShardStat     // "shards" on both
 }
 
 // Stats is the per-query statistics subset exposed over the wire.
@@ -107,19 +131,22 @@ func (c Config) withDefaults() Config {
 // neither the client's request being bad nor the server failing.
 const statusClientClosedRequest = 499
 
-// Handler serves the HTTP API. All counters are lock-free atomics: under
-// concurrent load every request used to serialize on one mutex just to bump
-// four integers, which is exactly the kind of contention the
-// allocation-free engine path removes elsewhere.
+// Handler serves the HTTP API. It is built whole by New and never mutated
+// afterwards. All counters are lock-free atomics: under concurrent load every
+// request used to serialize on one mutex just to bump four integers, which is
+// exactly the kind of contention the allocation-free engine path removes
+// elsewhere.
 type Handler struct {
 	mux      *http.ServeMux
 	searcher Searcher
 	batch    BatchSearcher // nil when the searcher has no batch capability
+	ingestor Ingestor      // nil when the searcher has no write path
+	reporter Reporter      // nil when the searcher reports no telemetry
 	cfg      Config
 
 	// gate is the admission semaphore: buffered to MaxInFlight, one slot
-	// held per in-flight search (a batch holds one per vector). len(gate)
-	// is the live queue depth.
+	// held per in-flight search or write (a batch holds one per vector).
+	// len(gate) is the live queue depth.
 	gate chan struct{}
 
 	queries   atomic.Int64
@@ -128,7 +155,7 @@ type Handler struct {
 	cands     atomic.Int64
 	remaining atomic.Int64
 
-	shed       atomic.Int64 // searches refused by the admission gate
+	shed       atomic.Int64 // gate slots refused (searches, writes, batch members)
 	canceled   atomic.Int64 // searches abandoned by client disconnect/deadline
 	encodeErrs atomic.Int64 // response bodies that failed to write (client gone)
 
@@ -138,20 +165,18 @@ type Handler struct {
 	batches   atomic.Int64 // /search/batch requests served
 	batchShed atomic.Int64 // batches refused because the gate lacked slots
 
+	inserts   atomic.Int64 // /insert requests answered 200
+	deletes   atomic.Int64 // /delete requests answered 200
+	writeErrs atomic.Int64 // write requests failed 5xx
+	writeShed atomic.Int64 // write requests shed by the admission gate
+
 	latTotal      Histogram // wall clock of the whole search request
 	latReduce     Histogram // Phase-2 candidate reduction CPU
 	latRefine     Histogram // Phase-3 refinement CPU + simulated I/O
 	latBatch      Histogram // wall clock of one whole batch request
 	latBatchQuery Histogram // batch wall clock amortized per member query
-
-	rebuildStats   func() RebuildStats
-	shardStats     func() []ShardStat
-	ioStats        func() IOStats
-	costModelStats func() CostModelStats
-
-	// ingest is the live write path (endpoints + telemetry), nil until
-	// SetIngestor or SetIngestStats wires it.
-	ingest *ingestState
+	latInsert     Histogram
+	latDelete     Histogram
 }
 
 // RebuildStats reports the maintainer's background cache-rebuild activity
@@ -174,10 +199,6 @@ type RebuildStats struct {
 	Retunes int `json:"retunes"`
 	Tau     int `json:"tau,omitempty"`
 }
-
-// SetRebuildStats registers a snapshot source for maintainer rebuild
-// telemetry; /stats then carries a "maintain" object. Call before serving.
-func (h *Handler) SetRebuildStats(fn func() RebuildStats) { h.rebuildStats = fn }
 
 // ShardStat is one shard's statistics block for /stats and /metrics on a
 // sharded deployment: how the shard's points, cache and query load are
@@ -216,10 +237,6 @@ type ShardStat struct {
 	CostModel *CostModelStats `json:"costmodel,omitempty"`
 }
 
-// SetShardStats registers a snapshot source for per-shard telemetry; /stats
-// and /metrics then carry a "shards" array. Call before serving.
-func (h *Handler) SetShardStats(fn func() []ShardStat) { h.shardStats = fn }
-
 // IOStats is the storage-layer fault/retry telemetry for /metrics: retries
 // that recovered transient faults, and the error counts by classification.
 // These are device-level counters — retries do not inflate the logical
@@ -229,10 +246,6 @@ type IOStats struct {
 	TransientErrors int64 `json:"io_errors_transient"`
 	PermanentErrors int64 `json:"io_errors_permanent"`
 }
-
-// SetIOStats registers a snapshot source for storage fault telemetry; /metrics
-// then carries an "io" object. Call before serving.
-func (h *Handler) SetIOStats(fn func() IOStats) { h.ioStats = fn }
 
 // CostModelStats is the drift watchdog's telemetry block for /metrics:
 // observed vs model-predicted ρ_hit/ρ_refine, the serving and recommended
@@ -257,11 +270,10 @@ type CostModelStats struct {
 	Retunes        int64 `json:"retunes"`
 }
 
-// SetCostModelStats registers a snapshot source for the adaptive-τ watchdog;
-// /metrics then carries a "costmodel" object. Call before serving.
-func (h *Handler) SetCostModelStats(fn func() CostModelStats) { h.costModelStats = fn }
-
-// New builds the handler.
+// New builds the handler over s, discovering on it the optional capabilities
+// (batch search, the write path, the telemetry report) and registering every
+// route the result serves: POST /insert and /delete exist only over an
+// Ingestor, and /search/batch answers 501 without a BatchSearcher.
 func New(s Searcher, cfg Config) *Handler {
 	cfg = cfg.withDefaults()
 	h := &Handler{
@@ -271,8 +283,14 @@ func New(s Searcher, cfg Config) *Handler {
 		gate:     make(chan struct{}, cfg.MaxInFlight),
 	}
 	h.batch, _ = s.(BatchSearcher)
+	h.ingestor, _ = s.(Ingestor)
+	h.reporter, _ = s.(Reporter)
 	h.mux.HandleFunc("POST /search", h.handleSearch)
 	h.mux.HandleFunc("POST /search/batch", h.handleSearchBatch)
+	if h.ingestor != nil {
+		h.mux.HandleFunc("POST /insert", h.handleInsert)
+		h.mux.HandleFunc("POST /delete", h.handleDelete)
+	}
 	h.mux.HandleFunc("GET /stats", h.handleStats)
 	h.mux.HandleFunc("GET /metrics", h.handleMetrics)
 	h.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -321,10 +339,63 @@ func (h *Handler) fail(w http.ResponseWriter, code int, format string, args ...a
 	h.writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// The request prologue — admission, bounded decode, validation — and the
+// search epilogue — error mapping, counter fold — are written once below;
+// /search, /search/batch, /insert and /delete are assembled from them.
+
+// admit takes n slots of the admission gate, all or nothing, and returns how
+// many it could not get: 0 means admitted, and the caller owes release(n).
+// On refusal the partial take is handed back and the shortfall counted as
+// shed, so the caller only answers 503. Shedding keeps tail latency bounded
+// for admitted requests instead of queueing everyone behind a saturated
+// worker pool; a batch is shed whole because partial admission would let
+// batches starve single queries while still doing a batch's work.
+func (h *Handler) admit(n int) (short int) {
+	for got := 0; got < n; got++ {
+		select {
+		case h.gate <- struct{}{}:
+		default:
+			h.release(got)
+			h.shed.Add(int64(n - got))
+			return n - got
+		}
+	}
+	return 0
+}
+
+func (h *Handler) release(n int) {
+	for ; n > 0; n-- {
+		<-h.gate
+	}
+}
+
+// decode reads the request body, at most limit bytes of it, as JSON into v,
+// answering 400 when it cannot.
+func (h *Handler) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		h.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	return true
+}
+
+// vectorProblem says what is wrong with a request vector — the tail of a 400
+// message, after the vector's name — or "" when it has the served
+// dimensionality and only finite components. NaN compares false against every
+// bound, so letting one into the reduction core silently corrupts the lb/ub
+// pruning and returns wrong neighbors with 200 OK — it must die here.
+func (h *Handler) vectorProblem(v []float32) string {
+	if len(v) != h.cfg.Dim {
+		return fmt.Sprintf(" has %d dimensions, engine serves %d", len(v), h.cfg.Dim)
+	}
+	if j := firstNonFinite(v); j >= 0 {
+		return fmt.Sprintf("[%d] is not finite", j)
+	}
+	return ""
+}
+
 // firstNonFinite returns the index of the first NaN or ±Inf component, or
-// -1 when the vector is finite. NaN compares false against every bound, so
-// letting one into the reduction core silently corrupts the lb/ub pruning
-// and returns wrong neighbors with 200 OK — it must die here with 400.
+// -1 when the vector is finite.
 func firstNonFinite(v []float32) int {
 	for i, x := range v {
 		f := float64(x)
@@ -335,62 +406,39 @@ func firstNonFinite(v []float32) int {
 	return -1
 }
 
-func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
-	// Admission: take a semaphore slot or shed. Shedding with 503 keeps
-	// tail latency bounded for admitted requests instead of queueing
-	// everyone behind a saturated worker pool.
-	select {
-	case h.gate <- struct{}{}:
-		defer func() { <-h.gate }()
+// checkK answers 400 unless k is in [1, MaxK].
+func (h *Handler) checkK(w http.ResponseWriter, k int) bool {
+	if k < 1 || k > h.cfg.MaxK {
+		h.fail(w, http.StatusBadRequest, "k must be in [1, %d], got %d", h.cfg.MaxK, k)
+		return false
+	}
+	return true
+}
+
+// searchFailed answers a failed search ("search") or batch ("batch").
+func (h *Handler) searchFailed(w http.ResponseWriter, r *http.Request, what string, err error) {
+	switch {
+	case r.Context().Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// The client is gone (or its deadline passed): the engine abandoned
+		// the search before refinement I/O. The response is best-effort —
+		// usually nobody is listening.
+		h.canceled.Add(1)
+		h.fail(w, statusClientClosedRequest, "%s abandoned: %v", what, err)
+	case disk.IsTransient(err):
+		// A transient storage fault exhausted the retry budget. The condition
+		// is expected to clear, so tell the client to retry rather than
+		// reporting a server fault.
+		h.transient.Add(1)
+		w.Header().Set("Retry-After", "1")
+		h.fail(w, http.StatusServiceUnavailable, "transient storage error, retry: %v", err)
 	default:
-		h.shed.Add(1)
-		h.fail(w, http.StatusServiceUnavailable,
-			"saturated: %d searches in flight; retry with backoff", cap(h.gate))
-		return
+		h.fail(w, http.StatusInternalServerError, "%s failed: %v", what, err)
 	}
+}
 
-	var req searchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22))
-	if err := dec.Decode(&req); err != nil {
-		h.fail(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if len(req.Vector) != h.cfg.Dim {
-		h.fail(w, http.StatusBadRequest, "vector has %d dimensions, engine serves %d", len(req.Vector), h.cfg.Dim)
-		return
-	}
-	if req.K < 1 || req.K > h.cfg.MaxK {
-		h.fail(w, http.StatusBadRequest, "k must be in [1, %d], got %d", h.cfg.MaxK, req.K)
-		return
-	}
-	if j := firstNonFinite(req.Vector); j >= 0 {
-		h.fail(w, http.StatusBadRequest, "vector[%d] is not finite", j)
-		return
-	}
-
-	start := time.Now()
-	ids, st, err := h.searcher.Search(r.Context(), req.Vector, req.K)
-	if err != nil {
-		if r.Context().Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The client is gone (or its deadline passed): the engine
-			// abandoned the search before refinement I/O. The response is
-			// best-effort — usually nobody is listening.
-			h.canceled.Add(1)
-			h.fail(w, statusClientClosedRequest, "search abandoned: %v", err)
-			return
-		}
-		if disk.IsTransient(err) {
-			// A transient storage fault exhausted the retry budget. The
-			// condition is expected to clear, so tell the client to retry
-			// rather than reporting a server fault.
-			h.transient.Add(1)
-			w.Header().Set("Retry-After", "1")
-			h.fail(w, http.StatusServiceUnavailable, "transient storage error, retry: %v", err)
-			return
-		}
-		h.fail(w, http.StatusInternalServerError, "search failed: %v", err)
-		return
-	}
+// observe folds one answered query into the aggregate counters and the
+// per-stage histograms; the request-level wall clock is the caller's.
+func (h *Handler) observe(st *Stats) {
 	if st.Degraded {
 		h.degraded.Add(1)
 	}
@@ -399,10 +447,38 @@ func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
 	h.hits.Add(int64(st.Hits))
 	h.cands.Add(int64(st.Candidates))
 	h.remaining.Add(int64(st.Remaining))
-	h.latTotal.Observe(time.Since(start))
 	h.latReduce.Observe(st.ReduceTime)
 	h.latRefine.Observe(st.RefineTime + st.SimulatedIO)
+}
 
+func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
+	if h.admit(1) > 0 {
+		h.fail(w, http.StatusServiceUnavailable,
+			"saturated: %d searches in flight; retry with backoff", cap(h.gate))
+		return
+	}
+	defer h.release(1)
+
+	var req searchRequest
+	if !h.decode(w, r, 1<<22, &req) {
+		return
+	}
+	if p := h.vectorProblem(req.Vector); p != "" {
+		h.fail(w, http.StatusBadRequest, "vector%s", p)
+		return
+	}
+	if !h.checkK(w, req.K) {
+		return
+	}
+
+	start := time.Now()
+	ids, st, err := h.searcher.Search(r.Context(), req.Vector, req.K)
+	if err != nil {
+		h.searchFailed(w, r, "search", err)
+		return
+	}
+	h.observe(&st)
+	h.latTotal.Observe(time.Since(start))
 	h.writeJSON(w, http.StatusOK, searchResponse{IDs: ids, Stats: st, Degraded: st.Degraded})
 }
 
@@ -428,18 +504,15 @@ type batchSearchResponse struct {
 
 // handleSearchBatch serves POST /search/batch: one request, many vectors,
 // one coalesced refinement pass. The admission gate is charged one slot per
-// vector — a batch is that much work — and the whole batch is shed with 503
-// when the gate cannot seat all of it (partial admission would let batches
-// starve single queries while still doing a batch's work).
+// vector — a batch is that much work — so the request is validated first,
+// when its size is known.
 func (h *Handler) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	if h.batch == nil {
 		h.fail(w, http.StatusNotImplemented, "engine does not support batch search")
 		return
 	}
 	var req batchSearchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24))
-	if err := dec.Decode(&req); err != nil {
-		h.fail(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !h.decode(w, r, 1<<24, &req) {
 		return
 	}
 	n := len(req.Vectors)
@@ -451,57 +524,27 @@ func (h *Handler) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, http.StatusBadRequest, "batch has %d vectors, limit is %d", n, h.cfg.MaxBatch)
 		return
 	}
-	if req.K < 1 || req.K > h.cfg.MaxK {
-		h.fail(w, http.StatusBadRequest, "k must be in [1, %d], got %d", h.cfg.MaxK, req.K)
+	if !h.checkK(w, req.K) {
 		return
 	}
 	for i, v := range req.Vectors {
-		if len(v) != h.cfg.Dim {
-			h.fail(w, http.StatusBadRequest, "vectors[%d] has %d dimensions, engine serves %d", i, len(v), h.cfg.Dim)
-			return
-		}
-		if j := firstNonFinite(v); j >= 0 {
-			h.fail(w, http.StatusBadRequest, "vectors[%d][%d] is not finite", i, j)
+		if p := h.vectorProblem(v); p != "" {
+			h.fail(w, http.StatusBadRequest, "vectors[%d]%s", i, p)
 			return
 		}
 	}
-
-	// Admission: the batch needs n slots, all or nothing.
-	acquired := 0
-	defer func() {
-		for ; acquired > 0; acquired-- {
-			<-h.gate
-		}
-	}()
-	for acquired < n {
-		select {
-		case h.gate <- struct{}{}:
-			acquired++
-		default:
-			h.batchShed.Add(1)
-			h.shed.Add(int64(n - acquired))
-			h.fail(w, http.StatusServiceUnavailable,
-				"saturated: batch of %d needs %d more slots of %d; retry with backoff",
-				n, n-acquired, cap(h.gate))
-			return
-		}
+	if short := h.admit(n); short > 0 {
+		h.batchShed.Add(1)
+		h.fail(w, http.StatusServiceUnavailable,
+			"saturated: batch of %d needs %d more slots of %d; retry with backoff", n, short, cap(h.gate))
+		return
 	}
+	defer h.release(n)
 
 	start := time.Now()
 	ids, sts, err := h.batch.SearchBatch(r.Context(), req.Vectors, req.K)
 	if err != nil {
-		if r.Context().Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			h.canceled.Add(1)
-			h.fail(w, statusClientClosedRequest, "batch abandoned: %v", err)
-			return
-		}
-		if disk.IsTransient(err) {
-			h.transient.Add(1)
-			w.Header().Set("Retry-After", "1")
-			h.fail(w, http.StatusServiceUnavailable, "transient storage error, retry: %v", err)
-			return
-		}
-		h.fail(w, http.StatusInternalServerError, "batch search failed: %v", err)
+		h.searchFailed(w, r, "batch", err)
 		return
 	}
 	wall := time.Since(start)
@@ -513,22 +556,22 @@ func (h *Handler) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		Batch:   batchSummary{Queries: n, Wall: wall},
 	}
 	for i := range ids {
-		st := sts[i]
-		resp.Results[i] = searchResponse{IDs: ids[i], Stats: st, Degraded: st.Degraded}
-		if st.Degraded {
-			h.degraded.Add(1)
-		}
+		st := &sts[i]
+		resp.Results[i] = searchResponse{IDs: ids[i], Stats: *st, Degraded: st.Degraded}
 		resp.Batch.PageReads += st.PageReads
-		h.queries.Add(1)
-		h.fetched.Add(int64(st.Fetched))
-		h.hits.Add(int64(st.Hits))
-		h.cands.Add(int64(st.Candidates))
-		h.remaining.Add(int64(st.Remaining))
+		h.observe(st)
 		h.latBatchQuery.Observe(perQuery)
-		h.latReduce.Observe(st.ReduceTime)
-		h.latRefine.Observe(st.RefineTime + st.SimulatedIO)
 	}
 	h.writeJSON(w, http.StatusOK, resp)
+}
+
+// report takes the request's one telemetry snapshot (empty without a
+// Reporter).
+func (h *Handler) report() Report {
+	if h.reporter == nil {
+		return Report{}
+	}
+	return h.reporter.Report()
 }
 
 type statsResponse struct {
@@ -543,27 +586,17 @@ type statsResponse struct {
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
+	rep := h.report()
 	queries := h.queries.Load()
-	fetched := h.fetched.Load()
-	hits := h.hits.Load()
 	cands := h.cands.Load()
-	remaining := h.remaining.Load()
-	resp := statsResponse{Queries: queries}
+	resp := statsResponse{Queries: queries, Maintain: rep.Maintain, Ingest: rep.Ingest, Shards: rep.Shards}
 	if queries > 0 {
-		resp.AvgFetched = float64(fetched) / float64(queries)
+		resp.AvgFetched = float64(h.fetched.Load()) / float64(queries)
 		resp.AvgCandSize = float64(cands) / float64(queries)
 	}
 	if cands > 0 {
-		resp.HitRatio = float64(hits) / float64(cands)
-		resp.RefineRatio = float64(remaining) / float64(cands)
-	}
-	if h.rebuildStats != nil {
-		rs := h.rebuildStats()
-		resp.Maintain = &rs
-	}
-	resp.Ingest = h.ingestStatsBlock()
-	if h.shardStats != nil {
-		resp.Shards = h.shardStats()
+		resp.HitRatio = float64(h.hits.Load()) / float64(cands)
+		resp.RefineRatio = float64(h.remaining.Load()) / float64(cands)
 	}
 	h.writeJSON(w, http.StatusOK, resp)
 }
@@ -587,20 +620,19 @@ type metricsResponse struct {
 	EncodeErrors   int64 `json:"encode_errors"`
 
 	// Fault-tolerance counters: searches answered around a quarantined shard,
-	// searches 503'd on an unrecovered transient fault, and (when an IOStats
-	// source is registered) the storage layer's retry/error totals.
+	// searches 503'd on an unrecovered transient fault, and the storage
+	// layer's retry/error totals.
 	DegradedSearches  int64    `json:"degraded_searches"`
 	TransientFailures int64    `json:"transient_failures"`
 	IO                *IOStats `json:"io,omitempty"`
 
 	// CostModel is the adaptive-τ watchdog block (observed vs predicted
-	// ratios, recommended τ, retune counts), present when a source is
-	// registered; on sharded deployments each shards[] entry additionally
-	// carries its own block.
+	// ratios, recommended τ, retune counts); each shards[] entry additionally
+	// carries its own.
 	CostModel *CostModelStats `json:"costmodel,omitempty"`
 
 	// Ingest is the live write-path block (WAL, delta, compactions, request
-	// counters), present when an ingestor or its stats source is registered.
+	// counters).
 	Ingest *ingestMetrics `json:"ingest,omitempty"`
 
 	Latency latencyMetrics `json:"latency"`
@@ -608,20 +640,7 @@ type metricsResponse struct {
 }
 
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var shards []ShardStat
-	if h.shardStats != nil {
-		shards = h.shardStats()
-	}
-	var io *IOStats
-	if h.ioStats != nil {
-		s := h.ioStats()
-		io = &s
-	}
-	var cm *CostModelStats
-	if h.costModelStats != nil {
-		s := h.costModelStats()
-		cm = &s
-	}
+	rep := h.report()
 	h.writeJSON(w, http.StatusOK, metricsResponse{
 		Queries:           h.queries.Load(),
 		Batches:           h.batches.Load(),
@@ -633,9 +652,9 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		EncodeErrors:      h.encodeErrs.Load(),
 		DegradedSearches:  h.degraded.Load(),
 		TransientFailures: h.transient.Load(),
-		IO:                io,
-		CostModel:         cm,
-		Ingest:            h.ingestMetricsBlock(),
+		IO:                rep.IO,
+		CostModel:         rep.CostModel,
+		Ingest:            h.ingestMetrics(rep.Ingest),
 		Latency: latencyMetrics{
 			Total:      h.latTotal.Snapshot(),
 			Reduce:     h.latReduce.Snapshot(),
@@ -643,6 +662,6 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Batch:      h.latBatch.Snapshot(),
 			BatchQuery: h.latBatchQuery.Snapshot(),
 		},
-		Shards: shards,
+		Shards: rep.Shards,
 	})
 }

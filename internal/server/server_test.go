@@ -586,21 +586,70 @@ func TestBatchCanceledRequestCounted(t *testing.T) {
 	}
 }
 
-// TestStatsShardBlock wires a per-shard stats source and checks /stats and
-// /metrics render one block per shard, including the nested maintain block.
-func TestStatsShardBlock(t *testing.T) {
-	h, _ := newTestHandler()
-	h.SetShardStats(func() []ShardStat {
-		return []ShardStat{
-			{Shard: 0, Points: 600, CachedItems: 10, CacheCapacity: 20,
-				Queries: 7, Candidates: 70, Hits: 35, HitRatio: 0.5, Fetched: 21, PageReads: 9},
-			{Shard: 1, Points: 600, CachedItems: 12, CacheCapacity: 20,
-				Queries: 7, Candidates: 65, Hits: 13, HitRatio: 0.2, Fetched: 30, PageReads: 14,
-				Maintain: &RebuildStats{Rebuilds: 2, LastRebuildWall: 3 * time.Millisecond, LastRebuildAt: "2026-08-08T00:00:00Z"}},
-		}
-	})
-	srv := httptest.NewServer(h)
+// reportingSearcher adds the telemetry capability: a canned Report, and a
+// count of how often the handler asked for it.
+type reportingSearcher struct {
+	fakeSearcher
+	rep     Report
+	reports atomic.Int64
+}
+
+func (s *reportingSearcher) Report() Report {
+	s.reports.Add(1)
+	return s.rep
+}
+
+func newReportingServer(t *testing.T, rep Report) (*httptest.Server, *reportingSearcher) {
+	t.Helper()
+	s := &reportingSearcher{rep: rep}
+	srv := httptest.NewServer(New(s, Config{Dim: 3, MaxK: 50}))
 	t.Cleanup(srv.Close)
+	return srv, s
+}
+
+// TestOneReportPerResponse: every GET /stats and GET /metrics takes exactly
+// one Report, so the blocks of one response describe one instant, and every
+// block of that one Report is rendered.
+func TestOneReportPerResponse(t *testing.T) {
+	srv, s := newReportingServer(t, Report{
+		IO:        &IOStats{Retries: 5},
+		Maintain:  &RebuildStats{Rebuilds: 2},
+		CostModel: &CostModelStats{Windows: 3},
+		Ingest:    &IngestStats{IngestCounters: IngestCounters{Inserts: 4}},
+		Shards:    []ShardStat{{Shard: 0, Maintain: &RebuildStats{Rebuilds: 2}, CostModel: &CostModelStats{Windows: 3}}},
+	})
+	for i, path := range []string{"/stats", "/metrics", "/metrics", "/stats"} {
+		out := getJSON(t, srv, path)
+		if got := s.reports.Load(); got != int64(i+1) {
+			t.Fatalf("after %d GETs (last %s) the handler took %d reports", i+1, path, got)
+		}
+		if out["ingest"].(map[string]any)["inserts"].(float64) != 4 || len(out["shards"].([]any)) != 1 {
+			t.Fatalf("%s: %v", path, out)
+		}
+		if path == "/stats" && out["maintain"].(map[string]any)["rebuilds"].(float64) != 2 {
+			t.Fatalf("/stats maintain block: %v", out["maintain"])
+		}
+		if path == "/metrics" && (out["costmodel"].(map[string]any)["windows"].(float64) != 3 ||
+			out["io"].(map[string]any)["io_retries"].(float64) != 5) {
+			t.Fatalf("/metrics costmodel/io blocks: %v %v", out["costmodel"], out["io"])
+		}
+	}
+	post(t, srv, `{"vector":[1,2,3],"k":4}`)
+	if got := s.reports.Load(); got != 4 {
+		t.Fatalf("a search took a report: %d", got)
+	}
+}
+
+// TestStatsShardBlock reports per-shard rows and checks /stats and /metrics
+// render one block per shard, including the nested maintain block.
+func TestStatsShardBlock(t *testing.T) {
+	srv, _ := newReportingServer(t, Report{Shards: []ShardStat{
+		{Shard: 0, Points: 600, CachedItems: 10, CacheCapacity: 20,
+			Queries: 7, Candidates: 70, Hits: 35, HitRatio: 0.5, Fetched: 21, PageReads: 9},
+		{Shard: 1, Points: 600, CachedItems: 12, CacheCapacity: 20,
+			Queries: 7, Candidates: 65, Hits: 13, HitRatio: 0.2, Fetched: 30, PageReads: 14,
+			Maintain: &RebuildStats{Rebuilds: 2, LastRebuildWall: 3 * time.Millisecond, LastRebuildAt: "2026-08-08T00:00:00Z"}},
+	}})
 
 	for _, path := range []string{"/stats", "/metrics"} {
 		out := getJSON(t, srv, path)
@@ -669,5 +718,73 @@ func TestBareSearcherShape(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Fatalf("POST %s = %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// ingestingSearcher adds the write capability over the blocking searcher, so
+// a parked search can hold the gate while a write arrives.
+type ingestingSearcher struct {
+	blockingSearcher
+	inserted atomic.Int64
+}
+
+func (s *ingestingSearcher) Insert(ctx context.Context, vec []float32) (int, error) {
+	return int(s.inserted.Add(1)) - 1, nil
+}
+
+func (s *ingestingSearcher) Delete(ctx context.Context, id int) error {
+	if id >= int(s.inserted.Load()) {
+		return fmt.Errorf("%w (id %d)", ErrUnknownID, id)
+	}
+	return nil
+}
+
+// TestWritesShareTheAdmissionGate: the write routes exist over an Ingestor,
+// pass the same gate as searches, and a refused write counts once in shed and
+// once in the ingest block's write_shed.
+func TestWritesShareTheAdmissionGate(t *testing.T) {
+	s := &ingestingSearcher{blockingSearcher: blockingSearcher{started: make(chan struct{}, 1), release: make(chan struct{})}}
+	srv := httptest.NewServer(New(s, Config{Dim: 1, MaxInFlight: 1}))
+	defer srv.Close()
+	postTo := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if code := postTo("/insert", `{"vector":[1]}`); code != http.StatusOK {
+		t.Fatalf("insert = %d", code)
+	}
+	if code := postTo("/delete", `{"id":7}`); code != http.StatusNotFound {
+		t.Fatalf("delete of an unknown id = %d, want 404", code)
+	}
+
+	done := make(chan int, 1)
+	go func() { done <- postTo("/search", `{"vector":[1],"k":1}`) }()
+	<-s.started // the search holds the only slot
+	for _, c := range []struct{ path, body string }{{"/insert", `{"vector":[1]}`}, {"/delete", `{"id":0}`}} {
+		if code := postTo(c.path, c.body); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s against a full gate = %d, want 503", c.path, code)
+		}
+	}
+	close(s.release)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("parked search finished with %d", code)
+	}
+
+	m := getJSON(t, srv, "/metrics")
+	ing := m["ingest"].(map[string]any)
+	if m["shed"].(float64) != 2 || ing["write_shed"].(float64) != 2 {
+		t.Fatalf("shed/write_shed = %v/%v, want 2/2", m["shed"], ing["write_shed"])
+	}
+	if ing["insert_requests"].(float64) != 1 || ing["delete_requests"].(float64) != 0 || ing["write_errors"].(float64) != 0 {
+		t.Fatalf("ingest request counters = %v", ing)
+	}
+	if m["in_flight"].(float64) != 0 {
+		t.Fatalf("in_flight = %v after the drain", m["in_flight"])
 	}
 }

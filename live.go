@@ -28,7 +28,6 @@ import (
 
 	"exploitbit/internal/core"
 	"exploitbit/internal/dataset"
-	"exploitbit/internal/disk"
 	"exploitbit/internal/ingest"
 	"exploitbit/internal/server"
 )
@@ -169,7 +168,6 @@ func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt Ma
 			}
 			return cands
 		}
-		icfg.Encode = func(p []float32) []uint64 { return m.Engine().EncodePoint(p) }
 	}
 	live, err := ingest.Open(icfg, rec)
 	if err != nil {
@@ -222,96 +220,52 @@ func (ls *LiveSystem) Close() error {
 	return err
 }
 
-// liveIngestor adapts LiveSystem to the HTTP handler's write interface,
-// translating the ingest sentinel to the server's 404.
-type liveIngestor struct{ ls *LiveSystem }
-
-func (li liveIngestor) Insert(ctx context.Context, vec []float32) (int, error) {
-	return li.ls.Insert(ctx, vec)
-}
-
-func (li liveIngestor) Delete(ctx context.Context, id int) error {
-	if err := li.ls.Delete(ctx, id); err != nil {
-		if errors.Is(err, ingest.ErrUnknownID) {
-			return fmt.Errorf("%w (id %d)", server.ErrUnknownID, id)
-		}
-		return err
-	}
-	return nil
-}
-
-// wireIngestStats adapts the write-path snapshot (plus shard routing tallies)
-// to the handler's ingest block.
-func wireIngestStats(ls *LiveSystem) func() server.IngestStats {
-	return func() server.IngestStats {
-		s := ls.Live.Stats()
-		out := server.IngestStats{
-			WalBytes:             s.WalBytes,
-			WalSegments:          s.WalSegments,
-			DeltaPoints:          s.DeltaPoints,
-			Tombstones:           s.Tombstones,
-			Points:               s.Points,
-			Inserts:              s.Inserts,
-			Deletes:              s.Deletes,
-			Compactions:          s.Compactions,
-			CompactionErrors:     s.CompactionErrors,
-			CompactInFlight:      s.CompactInFlight,
-			ReplayedRecords:      s.ReplayedRecords,
-			ReplayTruncatedBytes: s.ReplayTruncatedBytes,
-		}
-		w := &ls.writes
-		out.ShardWrites = make([]server.ShardWriteStat, len(w.inserts))
-		for i := range w.inserts {
-			out.ShardWrites[i] = server.ShardWriteStat{
-				Shard:   i,
-				Inserts: w.inserts[i].Load(),
-				Deletes: w.deletes[i].Load(),
-			}
-		}
-		return out
-	}
-}
-
 // ServeLive exposes a live system over HTTP: everything ServeMaintained
 // serves, plus POST /insert and POST /delete and the ingest telemetry block on
 // /stats and /metrics. Searches go through the merged overlay, so freshly
 // inserted points are visible and deleted points masked immediately.
 func ServeLive(ls *LiveSystem, opt ServeOptions) http.Handler {
 	m := ls.Maintainer
-	h := newHandler(liveSearcher{ls}, m.ShardAggregates, m, opt)
-	h.SetIngestor(liveIngestor{ls})
-	h.SetIngestStats(wireIngestStats(ls))
-	return h
+	return newHandler(served{s: m, shards: m.ShardAggregates, m: m, ls: ls}, opt)
 }
 
-// liveSearcher puts the live overlay in front of the maintainer for the
-// handler: single searches are merged; the overlay itself supplies mg.
-type liveSearcher struct{ ls *LiveSystem }
+// servedLive is served over a live system: searches go through the overlay,
+// and the write methods are what the handler discovers as its Ingestor.
+type servedLive struct{ served }
 
-func (s liveSearcher) Dim() int              { return s.ls.Maintainer.Dim() }
-func (s liveSearcher) DiskStats() disk.Stats { return s.ls.Maintainer.DiskStats() }
-
-func (s liveSearcher) SearchCtx(ctx context.Context, q []float32, k int, dst []int, _ *core.Merge) ([]int, QueryStats, error) {
-	return s.ls.Live.Search(ctx, q, k, dst)
+func (sl servedLive) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
+	ids, st, err := sl.ls.Live.Search(ctx, q, k, nil)
+	return ids, wireStats(st), err
 }
 
 // SearchBatch is overlay-aware: with an empty overlay the maintainer's
 // coalesced batch runs untouched; with live delta points or tombstones the
 // batch degrades to per-query merged searches, trading coalesced refinement
 // I/O for correct merged results.
-func (s liveSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	ls := s.ls
-	if st := ls.Live.Stats(); st.DeltaPoints == 0 && st.Tombstones == 0 {
-		return ls.Maintainer.SearchBatch(ctx, qs, k)
+func (sl servedLive) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
+	if st := sl.ls.Live.Stats(); st.DeltaPoints == 0 && st.Tombstones == 0 {
+		return sl.served.SearchBatch(ctx, qs, k)
 	}
 	ids := make([][]int, len(qs))
-	sts := make([]QueryStats, len(qs))
+	sts := make([]server.Stats, len(qs))
 	for i, q := range qs {
 		var err error
-		ids[i], sts[i], err = ls.Live.Search(ctx, q, k, nil)
-		if err != nil {
+		if ids[i], sts[i], err = sl.Search(ctx, q, k); err != nil {
 			return nil, nil, err
 		}
 	}
 	return ids, sts, nil
+}
+
+func (sl servedLive) Insert(ctx context.Context, vec []float32) (int, error) {
+	return sl.ls.Insert(ctx, vec)
+}
+
+// Delete translates the ingest sentinel to the server's 404.
+func (sl servedLive) Delete(ctx context.Context, id int) error {
+	err := sl.ls.Delete(ctx, id)
+	if errors.Is(err, ingest.ErrUnknownID) {
+		return fmt.Errorf("%w (id %d)", server.ErrUnknownID, id)
+	}
+	return err
 }

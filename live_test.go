@@ -507,7 +507,7 @@ func TestLiveSharded(t *testing.T) {
 	}
 
 	// Routing tallies cover every write.
-	stats := wireIngestStats(ls)()
+	stats := served{s: ls.Maintainer, ls: ls}.Report().Ingest
 	var ins, del int64
 	for _, sw := range stats.ShardWrites {
 		ins += sw.Inserts

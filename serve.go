@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"exploitbit/internal/core"
-	"exploitbit/internal/costmodel"
 	"exploitbit/internal/disk"
 	"exploitbit/internal/server"
 )
@@ -34,10 +33,54 @@ type searcher interface {
 	DiskStats() disk.Stats
 }
 
-// engineSearcher adapts a searcher to the handler's wire vocabulary. The
-// batch half enables POST /search/batch: every searcher coalesces the batch's
-// refinement I/O so overlapping queries share page reads.
-type engineSearcher struct{ s searcher }
+// served adapts a searcher to everything the HTTP handler discovers on its
+// Searcher: single and batch search in the wire vocabulary (every searcher
+// coalesces a batch's refinement I/O, so overlapping queries share page reads)
+// and the telemetry report. Which blocks a deployment reports is decided here
+// and nowhere else, by which of the optional fields its Serve* constructor set.
+type served struct {
+	s      searcher
+	shards func() []ShardAggregate // nil: the static flat engine has no shards[]
+	m      *Maintainer             // nil: nothing rebuilds — no maintain, no costmodel
+	ls     *LiveSystem             // nil: no write path — no ingest
+}
+
+// newHandler is the one place a handler is built. A live system is served
+// through the servedLive variant, which is what gives the handler its
+// Ingestor.
+func newHandler(sv served, opt ServeOptions) http.Handler {
+	var s server.Searcher = sv
+	if sv.ls != nil {
+		s = servedLive{sv}
+	}
+	return server.New(s, server.Config{
+		Dim: sv.s.Dim(), MaxK: opt.MaxK, MaxInFlight: opt.MaxInFlight, MaxBatch: opt.MaxBatch,
+	})
+}
+
+// Serve returns an http.Handler exposing the engine: POST /search, POST
+// /search/batch, GET /stats, GET /metrics, GET /healthz. Safe for concurrent
+// requests; the request context is plumbed into the search, so a disconnected
+// client abandons its query before refinement I/O.
+func Serve(eng *Engine, opt ServeOptions) http.Handler {
+	return newHandler(served{s: eng}, opt)
+}
+
+// ServeSharded is Serve over a scatter-gather sharded engine: results are
+// bit-identical to the unsharded engine, and /stats and /metrics carry a
+// "shards" array with each shard's load, cache fill and I/O.
+func ServeSharded(se *Sharded, opt ServeOptions) http.Handler {
+	return newHandler(served{s: se, shards: se.ShardAggregates}, opt)
+}
+
+// ServeMaintained is Serve over a self-maintaining searcher: each shard unit
+// (one, when unsharded) rebuilds its cache in the background under workload
+// drift while requests flow. /stats carries the aggregate "maintain" object
+// and every "shards" entry its own rebuild activity and, when adaptive,
+// cost-model telemetry.
+func ServeMaintained(m *Maintainer, opt ServeOptions) http.Handler {
+	return newHandler(served{s: m, shards: m.ShardAggregates, m: m}, opt)
+}
 
 func wireStats(st QueryStats) server.Stats {
 	return server.Stats{
@@ -58,26 +101,13 @@ func wireStats(st QueryStats) server.Stats {
 	}
 }
 
-// wireIOStats adapts a disk-level stats snapshot source to the handler's
-// /metrics io block.
-func wireIOStats(fn func() disk.Stats) func() server.IOStats {
-	return func() server.IOStats {
-		ds := fn()
-		return server.IOStats{
-			Retries:         ds.Retries,
-			TransientErrors: ds.TransientErrors,
-			PermanentErrors: ds.PermanentErrors,
-		}
-	}
-}
-
-func (es engineSearcher) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
-	ids, st, err := es.s.SearchCtx(ctx, q, k, nil, nil)
+func (sv served) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
+	ids, st, err := sv.s.SearchCtx(ctx, q, k, nil, nil)
 	return ids, wireStats(st), err
 }
 
-func (es engineSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
-	ids, sts, err := es.s.SearchBatch(ctx, qs, k)
+func (sv served) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
+	ids, sts, err := sv.s.SearchBatch(ctx, qs, k)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -88,101 +118,18 @@ func (es engineSearcher) SearchBatch(ctx context.Context, qs [][]float32, k int)
 	return ids, out, nil
 }
 
-// newHandler is the one place a searcher is wired to the HTTP handler: POST
-// /search, POST /search/batch, GET /stats, GET /metrics, GET /healthz, the io
-// block, and — when the searcher has them — the "shards" array (shards) and
-// the rebuild, per-shard maintain and cost-model telemetry (m).
-func newHandler(s searcher, shards func() []ShardAggregate, m *Maintainer, opt ServeOptions) *server.Handler {
-	h := server.New(engineSearcher{s}, server.Config{
-		Dim: s.Dim(), MaxK: opt.MaxK, MaxInFlight: opt.MaxInFlight, MaxBatch: opt.MaxBatch,
-	})
-	h.SetIOStats(wireIOStats(s.DiskStats))
-	if shards != nil {
-		h.SetShardStats(wireShardStats(shards, m))
-	}
-	if m != nil {
-		h.SetRebuildStats(func() server.RebuildStats { return wireRebuildStats(m.Stats()) })
-		if cms := m.CostModels(); cms[0] != nil {
-			// Top-level block: a cross-shard summary (counters summed, ratios
-			// averaged over shards, τ zeroed when shards disagree); the
-			// authoritative per-shard telemetry rides in the shards array.
-			h.SetCostModelStats(func() server.CostModelStats {
-				return mergeShardCostModels(m.CostModels())
-			})
-		}
-	}
-	return h
-}
-
-// Serve returns an http.Handler exposing the engine: POST /search, POST
-// /search/batch, GET /stats, GET /metrics, GET /healthz. Safe for concurrent
-// requests; the request context is plumbed into the search, so a disconnected
-// client abandons its query before refinement I/O.
-func Serve(eng *Engine, opt ServeOptions) http.Handler {
-	return newHandler(eng, nil, nil, opt)
-}
-
-// ServeSharded is Serve over a scatter-gather sharded engine: results are
-// bit-identical to the unsharded engine, and /stats and /metrics carry a
-// "shards" array with each shard's load, cache fill and I/O.
-func ServeSharded(se *Sharded, opt ServeOptions) http.Handler {
-	return newHandler(se, se.ShardAggregates, nil, opt)
-}
-
-// ServeMaintained is Serve over a self-maintaining searcher: each shard unit
-// (one, when unsharded) rebuilds its cache in the background under workload
-// drift while requests flow. /stats carries the aggregate "maintain" object
-// and every "shards" entry its own rebuild activity and, when adaptive,
-// cost-model telemetry.
-func ServeMaintained(m *Maintainer, opt ServeOptions) http.Handler {
-	return newHandler(m, m.ShardAggregates, m, opt)
-}
-
-func wireRebuildStats(st MaintainStats) server.RebuildStats {
-	rs := server.RebuildStats{
-		Rebuilds:        st.Rebuilds,
-		RebuildErrors:   st.RebuildErrors,
-		RebuildInFlight: st.RebuildInFlight,
-		LastRebuildWall: st.LastRebuildWall,
-		Retunes:         st.Retunes,
-		Tau:             st.Tau,
-	}
-	if !st.LastRebuildAt.IsZero() {
-		rs.LastRebuildAt = st.LastRebuildAt.Format(time.RFC3339Nano)
-	}
-	return rs
-}
-
-// wireCostModel adapts a drift-watchdog snapshot to the /metrics block.
-func wireCostModel(s costmodel.MonitorSnapshot) server.CostModelStats {
-	return server.CostModelStats{
-		Tau:                s.Tau,
-		RecommendedTau:     s.RecommendedTau,
-		ObservedRhoHit:     s.ObservedRhoHit,
-		ObservedRhoRefine:  s.ObservedRhoRefine,
-		PredictedRhoHit:    s.PredictedRhoHit,
-		PredictedRhoRefine: s.PredictedRhoRefine,
-		PredictedCrefine:   s.PredictedCrefine,
-		BestCrefine:        s.BestCrefine,
-		Improvement:        s.Improvement,
-		PendingWindows:     s.PendingWindows,
-		Windows:            s.Windows,
-		Retunes:            s.Retunes,
-	}
-}
-
-// wireShardStats snapshots the router's per-shard blocks, joined — when a
-// maintainer serves — with each shard's rebuild activity and drift-watchdog
-// telemetry (both positional with shards).
-func wireShardStats(shards func() []ShardAggregate, m *Maintainer) func() []server.ShardStat {
-	return func() []server.ShardStat {
-		aggs := shards()
-		var ms []MaintainStats
-		var cms []*costmodel.MonitorSnapshot
-		if m != nil {
-			ms, cms = m.ShardStats(), m.CostModels()
-		}
-		out := make([]server.ShardStat, len(aggs))
+// Report assembles every telemetry block from one snapshot of each source.
+// The aggregate maintain and costmodel blocks are folded from the very rows
+// shown in shards[], so an aggregate cannot disagree with the rows printed
+// beside it.
+func (sv served) Report() server.Report {
+	ds := sv.s.DiskStats()
+	rep := server.Report{IO: &server.IOStats{
+		Retries: ds.Retries, TransientErrors: ds.TransientErrors, PermanentErrors: ds.PermanentErrors,
+	}}
+	if sv.shards != nil {
+		aggs := sv.shards()
+		rep.Shards = make([]server.ShardStat, len(aggs))
 		for i, a := range aggs {
 			st := server.ShardStat{
 				Shard:         a.Shard,
@@ -204,40 +151,71 @@ func wireShardStats(shards func() []ShardAggregate, m *Maintainer) func() []serv
 				st.HitRatio = float64(a.Agg.Hits) / float64(a.Agg.Candidates)
 				st.RefineRatio = float64(a.Agg.Remaining) / float64(a.Agg.Candidates)
 			}
-			if i < len(ms) {
-				rs := wireRebuildStats(ms[i])
-				st.Maintain = &rs
-			}
-			if i < len(cms) && cms[i] != nil {
-				cm := wireCostModel(*cms[i])
-				st.CostModel = &cm
-			}
-			out[i] = st
+			rep.Shards[i] = st
 		}
-		return out
 	}
+	if m := sv.m; m != nil {
+		// Positional with the router's shards: one slot per unit.
+		rows, cms := m.ShardStats(), m.CostModels()
+		for i := range rep.Shards {
+			rep.Shards[i].Maintain = wireRebuildStats(rows[i])
+			if cms[i] != nil {
+				cm := server.CostModelStats(*cms[i])
+				rep.Shards[i].CostModel = &cm
+			}
+		}
+		rep.Maintain = wireRebuildStats(core.FoldMaintainStats(rows))
+		rep.CostModel = foldCostModels(rep.Shards)
+	}
+	if ls := sv.ls; ls != nil {
+		rep.Ingest = &server.IngestStats{
+			IngestCounters: server.IngestCounters(ls.Live.Stats()),
+			ShardWrites:    make([]server.ShardWriteStat, len(ls.writes.inserts)),
+		}
+		for i := range rep.Ingest.ShardWrites {
+			rep.Ingest.ShardWrites[i] = server.ShardWriteStat{
+				Shard: i, Inserts: ls.writes.inserts[i].Load(), Deletes: ls.writes.deletes[i].Load(),
+			}
+		}
+	}
+	return rep
 }
 
-// mergeShardCostModels folds per-shard watchdog snapshots into one summary
-// block for the top-level /metrics costmodel object.
-func mergeShardCostModels(cms []*costmodel.MonitorSnapshot) server.CostModelStats {
+func wireRebuildStats(st MaintainStats) *server.RebuildStats {
+	rs := &server.RebuildStats{
+		Rebuilds:        st.Rebuilds,
+		RebuildErrors:   st.RebuildErrors,
+		RebuildInFlight: st.RebuildInFlight,
+		LastRebuildWall: st.LastRebuildWall,
+		Retunes:         st.Retunes,
+		Tau:             st.Tau,
+	}
+	if !st.LastRebuildAt.IsZero() {
+		rs.LastRebuildAt = st.LastRebuildAt.Format(time.RFC3339Nano)
+	}
+	return rs
+}
+
+// foldCostModels is the top-level costmodel block: a summary of the shards'
+// own blocks (counters summed, ratios averaged over shards, a τ zeroed when
+// shards disagree on it), nil when no shard carries one — the authoritative
+// per-shard telemetry rides in the shards array.
+func foldCostModels(shards []server.ShardStat) *server.CostModelStats {
 	var out server.CostModelStats
-	n := 0
-	for _, s := range cms {
-		if s == nil {
+	n := 0.0
+	for _, st := range shards {
+		cm := st.CostModel
+		if cm == nil {
 			continue
 		}
-		cm := wireCostModel(*s)
 		if n == 0 {
-			out.Tau = cm.Tau
-			out.RecommendedTau = cm.RecommendedTau
-		} else {
-			if out.Tau != cm.Tau {
-				out.Tau = 0
-			}
-			if out.RecommendedTau != cm.RecommendedTau {
-				out.RecommendedTau = 0
-			}
+			out.Tau, out.RecommendedTau = cm.Tau, cm.RecommendedTau
+		}
+		if out.Tau != cm.Tau {
+			out.Tau = 0
+		}
+		if out.RecommendedTau != cm.RecommendedTau {
+			out.RecommendedTau = 0
 		}
 		out.ObservedRhoHit += cm.ObservedRhoHit
 		out.ObservedRhoRefine += cm.ObservedRhoRefine
@@ -251,15 +229,15 @@ func mergeShardCostModels(cms []*costmodel.MonitorSnapshot) server.CostModelStat
 		out.Retunes += cm.Retunes
 		n++
 	}
-	if n > 1 {
-		f := float64(n)
-		out.ObservedRhoHit /= f
-		out.ObservedRhoRefine /= f
-		out.PredictedRhoHit /= f
-		out.PredictedRhoRefine /= f
-		out.PredictedCrefine /= f
-		out.BestCrefine /= f
-		out.Improvement /= f
+	if n == 0 {
+		return nil
 	}
-	return out
+	out.ObservedRhoHit /= n
+	out.ObservedRhoRefine /= n
+	out.PredictedRhoHit /= n
+	out.PredictedRhoRefine /= n
+	out.PredictedCrefine /= n
+	out.BestCrefine /= n
+	out.Improvement /= n
+	return &out
 }

@@ -213,3 +213,62 @@ func TestServeWireShape(t *testing.T) {
 		})
 	}
 }
+
+// TestServeAggregatesFoldTheirRows: every response takes one snapshot, and
+// its aggregate blocks are the fold of the shards[] rows printed beside them —
+// under rebuilds landing and drift windows closing while the GETs run.
+func TestServeAggregatesFoldTheirRows(t *testing.T) {
+	_, sys, qtest := shardedPair(t, 3, RoundRobin)
+	m, err := sys.Maintained(core.Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6, SmoothEps: 0.01},
+		MaintainOptions{WindowSize: 8, AdaptiveTau: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(ServeMaintained(m, ServeOptions{}))
+	defer srv.Close()
+
+	for _, q := range qtest { // every unit needs a drift window to rebuild from
+		if _, _, err := m.Search(q, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	churn := make(chan error, 1)
+	go func() { // rebuilds land and windows close while the GET loop below runs
+		var err error
+		for i := 0; i < 40 && err == nil; i++ {
+			if err = m.ForceShardRebuild(i % 3); err == nil {
+				_, _, err = m.Search(qtest[i%len(qtest)], 3)
+			}
+		}
+		churn <- err
+	}()
+
+	sum := func(rows []any, block, field string) (total float64) {
+		for _, row := range rows {
+			total += row.(map[string]any)[block].(map[string]any)[field].(float64)
+		}
+		return total
+	}
+	for done := false; !done; {
+		select {
+		case err := <-churn:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true // one more pass over the settled state
+		default:
+		}
+		st := getObject(t, srv, "/stats")
+		if agg, rows := st["maintain"].(map[string]any)["rebuilds"].(float64), sum(st["shards"].([]any), "maintain", "rebuilds"); agg != rows {
+			t.Fatalf("/stats maintain.rebuilds = %v, its shards[] rows sum to %v", agg, rows)
+		}
+		mt := getObject(t, srv, "/metrics")
+		if agg, rows := mt["costmodel"].(map[string]any)["windows"].(float64), sum(mt["shards"].([]any), "costmodel", "windows"); agg != rows {
+			t.Fatalf("/metrics costmodel.windows = %v, its shards[] rows sum to %v", agg, rows)
+		}
+	}
+	if st := m.Stats(); st.Rebuilds < 40 {
+		t.Fatalf("%d rebuilds landed, want the 40 forced ones", st.Rebuilds)
+	}
+}
