@@ -108,7 +108,7 @@ func RunBatch(w io.Writer, env *Env, jsonPath string) (*BatchReport, error) {
 		row.SoloWallNs = time.Since(t0).Nanoseconds()
 
 		t1 := time.Now()
-		gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
+		gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -30,9 +30,11 @@ import (
 // coalesced refinement: each data-file page is read at most once across the
 // whole batch. Results and statistics are positional (results[i] answers
 // qs[i]); each query's result identifiers match a standalone SearchCtx of the
-// same query. See pipeline.searchBatch for cancellation.
-func (e *Engine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return e.searchBatch(ctx, qs, k, nil)
+// same query under the same live-ingest overlay mg (nil = plain batch; one
+// overlay value serves the whole batch). See pipeline.searchBatch for
+// cancellation.
+func (e *Engine) SearchBatch(ctx context.Context, qs [][]float32, k int, mg *Merge) ([][]int, []QueryStats, error) {
+	return e.searchBatch(ctx, qs, k, mg, nil)
 }
 
 // SearchBatch searches every query of qs for its k nearest over the tree

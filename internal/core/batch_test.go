@@ -48,7 +48,7 @@ func TestSearchBatchCoalescesAndMatchesPerQuery(t *testing.T) {
 		soloReads += st.PageReads
 	}
 
-	gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
+	gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSearchBatchMatchesPerQueryCachedMethods(t *testing.T) {
 				soloIDs[j] = ids
 				soloReads += st.PageReads
 			}
-			gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
+			gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestMaintainerSearchBatch(t *testing.T) {
 		defer m.Close()
 
 		batch := overlappingBatch(w.qtest, 6)
-		gotIDs, sts, err := m.SearchBatch(context.Background(), batch, 5)
+		gotIDs, sts, err := m.SearchBatch(context.Background(), batch, 5, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,12 +226,12 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ids, sts, err := eng.SearchBatch(context.Background(), nil, 5); err != nil || ids != nil || sts != nil {
+	if ids, sts, err := eng.SearchBatch(context.Background(), nil, 5, nil); err != nil || ids != nil || sts != nil {
 		t.Fatalf("empty batch: %v %v %v", ids, sts, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := eng.SearchBatch(ctx, w.qtest[:2], 5); err == nil {
+	if _, _, err := eng.SearchBatch(ctx, w.qtest[:2], 5, nil); err == nil {
 		t.Fatal("canceled context not surfaced")
 	}
 	tw := buildTreeWorld(t, "vptree", 600, 8, 36)

@@ -165,7 +165,7 @@ func TestConcurrentSlabScanDuringRebuild(t *testing.T) {
 		Tau:        8,
 		// Fan Phase 2 out aggressively so slab blocks are scanned from many
 		// goroutines at once, not just many queries.
-		ParallelReduceThreshold: 1,
+		parallelReduceThreshold: 1,
 	}, MaintainOptions{WindowSize: 32})
 	defer m.Close()
 	if m.Engine().slab == nil {

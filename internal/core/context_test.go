@@ -108,7 +108,7 @@ func TestEngineParallelReduceCanceled(t *testing.T) {
 	w := buildWorld(t, 1500, 12, 11)
 	eng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), Config{
 		Method: HCO, CacheBytes: 64 << 10, Tau: 6,
-		ParallelReduceThreshold: 1, // force fan-out regardless of |C(q)|
+		parallelReduceThreshold: 1, // force fan-out regardless of |C(q)|
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -164,7 +164,7 @@ func TestDegradedBatchServing(t *testing.T) {
 	se.Quarantine(bad)
 	se.SetDegradedOK(true)
 
-	ids, sts, err := se.SearchBatch(context.Background(), w.qtest, k)
+	ids, sts, err := se.SearchBatch(context.Background(), w.qtest, k, nil)
 	if err != nil {
 		t.Fatalf("degraded batch must not fail: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestDegradedShardServingRace(t *testing.T) {
 				}
 				q := w.qtest[(g*7+i)%len(w.qtest)]
 				if i%3 == 0 {
-					if _, _, err := m.SearchBatch(context.Background(), w.qtest[:2], 5); err != nil {
+					if _, _, err := m.SearchBatch(context.Background(), w.qtest[:2], 5, nil); err != nil {
 						t.Errorf("batch: %v", err)
 						return
 					}

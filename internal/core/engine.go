@@ -39,16 +39,21 @@ type Config struct {
 	// immediately during candidate reduction so they tighten lb_k and ub_k.
 	// The paper argues this rarely pays off; the ablation bench measures it.
 	EagerFetchMisses bool
-	// LUTMinCandidates gates the per-query ADC lookup table: the LUT costs
-	// O(d·B) to build, so it is only built when |C(q)| reaches this many
-	// candidates. 0 selects the default (2·B, which amortizes the build);
-	// negative disables the LUT entirely (reference bound path).
-	LUTMinCandidates int
-	// ParallelReduceThreshold fans Phase 2 across GOMAXPROCS-bounded workers
-	// over contiguous candidate chunks when |C(q)| reaches it. 0 selects the
-	// default (4096); negative keeps reduction single-threaded.
-	ParallelReduceThreshold int
 
+	// The three fields below are test seams, not options: they force the
+	// reference paths the equivalence suites and kernel benchmarks compare
+	// against. Production code leaves them zero.
+
+	// lutMinCandidates gates the per-query ADC lookup table: the LUT costs
+	// O(d·B) to build, so it is only built when |C(q)| reaches this many
+	// candidates. 0 selects the gate (2·B, which amortizes the build);
+	// negative disables the LUT entirely (reference bound path).
+	lutMinCandidates int
+	// parallelReduceThreshold fans Phase 2 across GOMAXPROCS-bounded workers
+	// over contiguous candidate chunks when |C(q)| reaches it. 0 selects the
+	// gate (defaultParallelReduceThreshold); negative keeps reduction
+	// single-threaded.
+	parallelReduceThreshold int
 	// noSlab keeps approximate HFF content in the map-backed Cache instead of
 	// the slab-packed arena: the reference layout of the slab-vs-map
 	// equivalence tests and benchmarks (results are bit-identical either way).
@@ -518,7 +523,7 @@ func (e *Engine) queryLUT(q []float32, n int, sc *searchScratch) *bounds.QueryLU
 	if (e.approx == nil && e.slab == nil) || e.table == nil {
 		return nil
 	}
-	th := e.cfg.LUTMinCandidates
+	th := e.cfg.lutMinCandidates
 	if th < 0 {
 		return nil
 	}
@@ -539,7 +544,7 @@ func (e *Engine) reduceWorkers(n int) int {
 	if e.cfg.EagerFetchMisses {
 		return 1
 	}
-	th := e.cfg.ParallelReduceThreshold
+	th := e.cfg.parallelReduceThreshold
 	if th < 0 {
 		return 1
 	}

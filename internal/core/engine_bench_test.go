@@ -56,7 +56,7 @@ func benchAllHitsEngine(b *testing.B, lutMin, parMin int, noSlab bool) (*Engine,
 	static := func([]float32, int) ([]int, float64) { return ids, dmax }
 	eng, err := NewEngine(w.pf, w.prof, static, Config{
 		Method: CVA, CacheBytes: 1 << 30,
-		LUTMinCandidates: lutMin, ParallelReduceThreshold: parMin,
+		lutMinCandidates: lutMin, parallelReduceThreshold: parMin,
 		noSlab: noSlab,
 	})
 	if err != nil {

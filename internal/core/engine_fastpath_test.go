@@ -20,22 +20,22 @@ func forceParallelism(t *testing.T) {
 // regardless of candidate-set sizes.
 func fastPathConfigs(base Config) (ref Config, variants map[string]Config) {
 	ref = base
-	ref.LUTMinCandidates = -1
-	ref.ParallelReduceThreshold = -1
+	ref.lutMinCandidates = -1
+	ref.parallelReduceThreshold = -1
 	variants = map[string]Config{
 		"lut":          {},
 		"parallel":     {},
 		"lut+parallel": {},
 	}
 	lut := base
-	lut.LUTMinCandidates = 1
-	lut.ParallelReduceThreshold = -1
+	lut.lutMinCandidates = 1
+	lut.parallelReduceThreshold = -1
 	par := base
-	par.LUTMinCandidates = -1
-	par.ParallelReduceThreshold = 1
+	par.lutMinCandidates = -1
+	par.parallelReduceThreshold = 1
 	both := base
-	both.LUTMinCandidates = 1
-	both.ParallelReduceThreshold = 1
+	both.lutMinCandidates = 1
+	both.parallelReduceThreshold = 1
 	variants["lut"] = lut
 	variants["parallel"] = par
 	variants["lut+parallel"] = both
@@ -152,7 +152,7 @@ func TestConcurrentFastPathSearches(t *testing.T) {
 	w := buildWorld(t, 1200, 12, 23)
 	eng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), Config{
 		Method: HCO, CacheBytes: 64 << 10, Tau: 6,
-		LUTMinCandidates: 1, ParallelReduceThreshold: 1,
+		lutMinCandidates: 1, parallelReduceThreshold: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

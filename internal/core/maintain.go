@@ -131,21 +131,6 @@ func (w *adaptWindow) reset() {
 	w.n = 0
 }
 
-// adaptInputs assembles the Section 4 model inputs from a freshly profiled
-// window and the engine's geometry, mirroring System.CostInputs.
-func adaptInputs(prof *Profile, ds *dataset.Dataset, budget int64) costmodel.Inputs {
-	return costmodel.Inputs{
-		AvgCandSize: prof.AvgCandSize,
-		FreqSorted:  prof.FreqSorted(),
-		BudgetBytes: budget,
-		Dim:         ds.Dim,
-		DomainWidth: ds.Domain.Hi - ds.Domain.Lo,
-		Ndom:        ds.Domain.Ndom,
-		Dmax:        prof.AvgDmax,
-		Lvalue:      32,
-	}
-}
-
 // driftState is the drift detector of one slot: the sliding query window and
 // the candidate-weighted hit-ratio bookkeeping. The owner provides the
 // locking (all methods assume the caller holds the slot's mutex).
@@ -415,9 +400,10 @@ func (m *Maintainer) SearchCtx(ctx context.Context, q []float32, k int, dst []in
 
 // SearchBatch runs the batch through the router's coalesced refinement and
 // applies SearchCtx's maintenance semantics per batch member (the launch CAS
-// starts at most one rebuild however many members trip the window).
-func (m *Maintainer) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return m.se.Load().searchBatch(ctx, qs, k, m.sink)
+// starts at most one rebuild however many members trip the window). The whole
+// batch runs on one router and under one overlay mg.
+func (m *Maintainer) SearchBatch(ctx context.Context, qs [][]float32, k int, mg *Merge) ([][]int, []QueryStats, error) {
+	return m.se.Load().searchBatch(ctx, qs, k, mg, m.sink)
 }
 
 // record is the router's statistics sink: one served query's per-unit
@@ -517,7 +503,7 @@ func (m *Maintainer) launchEvaluate(s int, obsHit, obsRefine float64, wl [][]flo
 		se := m.se.Load()
 		ds := se.units[s].DS
 		prof := BuildProfile(ds, se.ShardCandidates(s), wl, m.k)
-		d := slot.monitor.Observe(obsHit, obsRefine, adaptInputs(prof, ds, m.unitBudget(se, s)))
+		d := slot.monitor.Observe(obsHit, obsRefine, prof.CostInputs(m.unitBudget(se, s)))
 		if d.Retune && slot.rebuilding.CompareAndSwap(false, true) {
 			m.launchWindowRebuild(s, wl, d.Tau, true)
 		}

@@ -10,33 +10,31 @@ type MergePoint struct {
 	Vec []float32
 }
 
-// Merge is the live-ingest overlay of a merged search: a tombstone mask over
-// base ids and the delta points to fold into the reduction. The engine
-// applies it inside Algorithm 1 — tombstoned base candidates are masked
-// before Phase 2, delta points are scored exactly (lb = ub = d², zero I/O)
-// and compete in the same k-th-bound selection, pruning and refinement as
-// the base candidates.
+// Merge is the live-ingest overlay of a merged search, as one immutable
+// value: the delta points to fold into the reduction and the tombstone set
+// over all identifiers, base and delta alike. The engine applies it inside
+// Algorithm 1 — tombstoned base candidates are masked before Phase 2, delta
+// points are scored exactly (lb = ub = d², zero I/O) and compete in the same
+// k-th-bound selection, pruning and refinement as the base candidates.
 //
 // Extras whose ID is below the engine's point horizon are skipped: after a
 // compaction the freshly built engine already contains those points, and the
 // skip makes the overlay safe to use across an RCU engine swap without any
 // coordination beyond reading the new engine's length.
 //
-// Deleted must be safe for concurrent use and stable for the duration of one
-// search; Extra and the vectors it references must not be mutated while a
-// search using them is in flight.
+// A Merge handed to a search is never written again — not the struct, not
+// Extra or the vectors it references, not Tombs. Whoever maintains the
+// overlay publishes a new value instead (ingest.Delta), so any number of
+// searches, and every member of a batch, can share one.
 type Merge struct {
-	Deleted func(id int32) bool
-	Extra   []MergePoint
+	Extra []MergePoint
+	Tombs map[int64]struct{}
 }
 
-// extraLive reports whether extra ex survives the overlay's own masking for
-// an engine holding horizon base points.
-func (mg *Merge) extraLive(ex *MergePoint, horizon int32) bool {
-	if ex.ID < horizon {
-		return false
-	}
-	return mg.Deleted == nil || !mg.Deleted(ex.ID)
+// dead reports whether id is tombstoned.
+func (mg *Merge) dead(id int) bool {
+	_, ok := mg.Tombs[int64(id)]
+	return ok
 }
 
 // NumPoints returns the number of base points the engine was built over —

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -110,6 +111,54 @@ func (w *mergeWorld) searchRows(t *testing.T, ctx string, folded bool, q []float
 	return out
 }
 
+// batchRows is the batch column of the suite: on every row, one coalesced
+// SearchBatch of qs under mg must answer each member exactly as that row's
+// own SearchCtx under the same mg does (the same ids in the same order), read
+// no more pages in total than those singles, and — on the router rows — equal
+// the flat row's batch bit for bit, ids and per-member statistics alike.
+func (w *mergeWorld) batchRows(t *testing.T, ctx string, folded bool, qs [][]float32, k int, mg *Merge) {
+	t.Helper()
+	var flatIDs [][]int
+	var flatSts []QueryStats
+	for i, r := range w.rows {
+		s := r.base
+		if folded {
+			s = r.folded
+		}
+		ids, sts, err := s.SearchBatch(context.Background(), qs, k, mg)
+		if err != nil {
+			t.Fatalf("%s/%s: batch: %v", r.name, ctx, err)
+		}
+		var batchReads, soloReads int64
+		for j, q := range qs {
+			solo, st, err := s.SearchCtx(context.Background(), q, k, nil, mg)
+			if err != nil {
+				t.Fatalf("%s/%s: q%d: %v", r.name, ctx, j, err)
+			}
+			if !sameIDs(ids[j], solo) {
+				t.Fatalf("%s/%s: q%d: batch ids %v, single %v", r.name, ctx, j, ids[j], solo)
+			}
+			batchReads += sts[j].PageReads
+			soloReads += st.PageReads
+		}
+		if batchReads > soloReads {
+			t.Fatalf("%s/%s: batch read %d pages, the singles %d", r.name, ctx, batchReads, soloReads)
+		}
+		if i == 0 {
+			flatIDs, flatSts = ids, sts
+			continue
+		}
+		for j := range qs {
+			if !sameIDs(flatIDs[j], ids[j]) {
+				t.Fatalf("%s/%s: q%d: batch ids %v, flat %v", r.name, ctx, j, ids[j], flatIDs[j])
+			}
+			if d := diffStats(flatSts[j], sts[j]); d != "" {
+				t.Fatalf("%s/%s: q%d: batch stats differ from flat: %s", r.name, ctx, j, d)
+			}
+		}
+	}
+}
+
 // idsEqual compares result id lists. Exact scores every candidate, so its
 // output order is fully determined and compared verbatim; the caching methods
 // emit ids in refinement order, so those compare as sets.
@@ -132,7 +181,8 @@ func idsEqual(t *testing.T, method Method, ctx string, got, want []int) {
 // With tombstones, the rebuilt searcher keeps the tombstone mask (deleted
 // points stay folded for id density), so the comparison is full overlay vs
 // tombs-only overlay. The router rows are additionally held to the flat row
-// bit for bit under each overlay (see searchRows).
+// bit for bit under each overlay (see searchRows), and every overlay shape is
+// also posted as one batch (see batchRows).
 func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 	for _, method := range []Method{Exact, HCO} {
 		t.Run(string(method), func(t *testing.T) {
@@ -140,14 +190,14 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 			k := 10
 
 			// Tombstone a mix of base and delta ids.
-			tombs := map[int32]struct{}{3: {}, 57: {}, 399: {}, 401: {}, 580: {}}
-			deleted := func(id int32) bool { _, ok := tombs[id]; return ok }
-			fullOverlay := &Merge{Deleted: deleted, Extra: w.extras}
-			tombsOnly := &Merge{Deleted: deleted}
+			tombs := map[int64]struct{}{3: {}, 57: {}, 399: {}, 401: {}, 580: {}}
+			extrasOnly := &Merge{Extra: w.extras}
+			fullOverlay := &Merge{Extra: w.extras, Tombs: tombs}
+			tombsOnly := &Merge{Tombs: tombs}
 
 			for _, q := range w.qtest {
 				// No tombstones: base+extras vs plain folded search.
-				got := w.searchRows(t, "no-tombs", false, q, k, &Merge{Extra: w.extras})
+				got := w.searchRows(t, "no-tombs", false, q, k, extrasOnly)
 				want := w.searchRows(t, "plain-folded", true, q, k, nil)
 				for i, r := range w.rows {
 					idsEqual(t, method, r.name+"/no-tombs", got[i], want[i])
@@ -163,13 +213,18 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 				for i, r := range w.rows {
 					idsEqual(t, method, r.name+"/tombs", got[i], want[i])
 					for _, id := range got[i] {
-						if deleted(int32(id)) {
+						if fullOverlay.dead(id) {
 							t.Fatalf("%s: tombstoned id %d in results", r.name, id)
 						}
 					}
 					idsEqual(t, method, r.name+"/horizon-skip", hz[i], want[i])
 				}
 			}
+
+			w.batchRows(t, "batch/extras-only", false, w.qtest, k, extrasOnly)
+			w.batchRows(t, "batch/tombs-only", false, w.qtest, k, tombsOnly)
+			w.batchRows(t, "batch/full", false, w.qtest, k, fullOverlay)
+			w.batchRows(t, "batch/horizon-skip", true, w.qtest, k, fullOverlay)
 		})
 	}
 }
@@ -177,18 +232,19 @@ func TestMergedSearchEquivalentToRebuild(t *testing.T) {
 // TestMergedSearchRandomInterleavings drives a random insert/delete
 // interleaving through the overlay and cross-checks every row's merged
 // results against exact brute force over the surviving point set at several
-// cuts.
+// cuts; each cut's overlay also serves one batch (see batchRows).
 func TestMergedSearchRandomInterleavings(t *testing.T) {
 	const n, n0, dim, k = 700, 450, 8, 10
 	w := buildMergeWorld(t, HCO, n, n0, dim)
 	rng := rand.New(rand.NewSource(99))
 
-	tombs := map[int32]struct{}{}
+	tombs := map[int64]struct{}{}
 	inserted := 0
 	check := func(step string) {
 		t.Helper()
-		deleted := func(id int32) bool { _, ok := tombs[id]; return ok }
-		mg := &Merge{Deleted: deleted, Extra: w.extras[:inserted]}
+		// An overlay is a value: later deletes go into the next cut's copy.
+		mg := &Merge{Extra: w.extras[:inserted], Tombs: maps.Clone(tombs)}
+		w.batchRows(t, step+"/batch", false, w.qtest[:6], k, mg)
 		for _, q := range w.qtest[:6] {
 			got := w.searchRows(t, step, false, q, k, mg)
 			// Brute-force reference over every live id.
@@ -198,7 +254,7 @@ func TestMergedSearchRandomInterleavings(t *testing.T) {
 			}
 			var ref []cand
 			for id := 0; id < n0+inserted; id++ {
-				if deleted(int32(id)) {
+				if mg.dead(id) {
 					continue
 				}
 				ref = append(ref, cand{id, vec.Dist(q, w.full.Point(id))})
@@ -229,8 +285,7 @@ func TestMergedSearchRandomInterleavings(t *testing.T) {
 		if inserted < len(w.extras) && (rng.Intn(3) != 0 || len(tombs) > (n0+inserted)/3) {
 			inserted++
 		} else {
-			id := int32(rng.Intn(n0 + inserted))
-			tombs[id] = struct{}{}
+			tombs[int64(rng.Intn(n0+inserted))] = struct{}{}
 		}
 		if step%40 == 39 {
 			check("step")

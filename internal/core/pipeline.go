@@ -122,10 +122,10 @@ func (p *pipeline) phase12(sc *searchScratch, q []float32, k int, dst []int, mg 
 	t1 := time.Now()
 	var extra []MergePoint
 	if mg != nil {
-		if mg.Deleted != nil {
+		if len(mg.Tombs) > 0 {
 			sc.mergeIDs = sc.mergeIDs[:0]
 			for _, id := range ids {
-				if !mg.Deleted(int32(id)) {
+				if !mg.dead(id) {
 					sc.mergeIDs = append(sc.mergeIDs, id)
 				}
 			}
@@ -139,8 +139,9 @@ func (p *pipeline) phase12(sc *searchScratch, q []float32, k int, dst []int, mg 
 		// Delta points: exact distance in RAM, lb = ub = d², no I/O. Each is
 		// a candidate and a cache hit — exactly what the point would cost in
 		// an engine rebuilt over the folded dataset with the point resident
-		// in an exact cache.
-		if ex := &extra[i]; mg.extraLive(ex, p.horizon) {
+		// in an exact cache. Points below the horizon are already part of the
+		// searched dataset (see Merge).
+		if ex := &extra[i]; ex.ID >= p.horizon && !mg.dead(int(ex.ID)) {
 			d2 := vec.SqDist(q, ex.Vec)
 			sc.cs[n] = candState{id: ex.ID, leaf: -1, lbSq: d2, ubSq: d2, exactPt: ex.Vec}
 			n++
@@ -216,10 +217,13 @@ func (p *pipeline) search(ctx context.Context, q []float32, k int, dst []int, mg
 
 // searchBatch runs Algorithm 1 for every query of qs with cross-query
 // coalesced refinement: each fetch unit is read at most once across the
-// whole batch (see batch.go for the attribution rules). A canceled ctx
+// whole batch (see batch.go for the attribution rules). Every member runs
+// under the same overlay value mg (nil = plain batch), so a merged batch is
+// the coalesced batch: delta points arrive with their distance in hand and
+// seed the refinement, tombstoned candidates never reach it. A canceled ctx
 // abandons the batch at the next check point — between scoring strides,
 // before refinement, and before every unit read.
-func (p *pipeline) searchBatch(ctx context.Context, qs [][]float32, k int, sink shardSink) ([][]int, []QueryStats, error) {
+func (p *pipeline) searchBatch(ctx context.Context, qs [][]float32, k int, mg *Merge, sink shardSink) ([][]int, []QueryStats, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
 	}
@@ -242,7 +246,7 @@ func (p *pipeline) searchBatch(ctx context.Context, qs [][]float32, k int, sink 
 	results := make([][]int, n)
 	if err := batchFan(n, func(j int) error {
 		var err error
-		results[j], err = p.phase12(scs[j], qs[j], k, nil, nil)
+		results[j], err = p.phase12(scs[j], qs[j], k, nil, mg)
 		return err
 	}); err != nil {
 		return nil, nil, err
@@ -258,7 +262,8 @@ func (p *pipeline) searchBatch(ctx context.Context, qs [][]float32, k int, sink 
 		var seeds, pending []multistep.GroupCandidate
 		for _, c := range sc.remaining {
 			if c.exactPt != nil {
-				// EXACT cache hit: distance already in hand, zero I/O.
+				// EXACT cache hit or delta point: distance already in hand,
+				// zero I/O.
 				seeds = append(seeds, multistep.GroupCandidate{ID: c.id, Group: -1, LBSq: c.lbSq})
 				continue
 			}

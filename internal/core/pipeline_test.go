@@ -14,6 +14,7 @@ import (
 type rowSearcher interface {
 	SearchInto(q []float32, k int, dst []int) ([]int, QueryStats, error)
 	SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *Merge) ([]int, QueryStats, error)
+	SearchBatch(ctx context.Context, qs [][]float32, k int, mg *Merge) ([][]int, []QueryStats, error)
 }
 
 // servingRows serves one dataset, profile and candidate generator three
@@ -52,7 +53,7 @@ func TestShardedReduceWorkersReportWhatRan(t *testing.T) {
 	k := 10
 
 	t.Run("one unit fans out", func(t *testing.T) {
-		_, rows := servingRows(t, w.ds, w.pf, w.prof, candFunc(w.ix), Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6, ParallelReduceThreshold: 1})
+		_, rows := servingRows(t, w.ds, w.pf, w.prof, candFunc(w.ix), Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6, parallelReduceThreshold: 1})
 		fanned := false
 		for qi, q := range w.qtest {
 			_, want, err := rows[0].SearchInto(q, k, nil)
@@ -140,7 +141,7 @@ func TestSearchIntoAllocs(t *testing.T) {
 	}
 	static := func([]float32, int) ([]int, float64) { return ids, dmax }
 	// C-VA within budget caches the whole dataset: all hits.
-	names, rows := servingRows(t, w.ds, w.pf, w.prof, static, Config{Method: CVA, CacheBytes: 1 << 30, ParallelReduceThreshold: -1})
+	names, rows := servingRows(t, w.ds, w.pf, w.prof, static, Config{Method: CVA, CacheBytes: 1 << 30, parallelReduceThreshold: -1})
 	dst := make([]int, 0, 64)
 	for i, s := range rows {
 		allocs := testing.AllocsPerRun(100, func() {

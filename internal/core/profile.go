@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"exploitbit/internal/cache"
+	"exploitbit/internal/costmodel"
 	"exploitbit/internal/dataset"
 	"exploitbit/internal/vec"
 )
@@ -51,6 +52,21 @@ func BuildProfile(ds *dataset.Dataset, cands CandidateFunc, wl [][]float32, k in
 	}
 	p.Ranked = cache.RankByFrequency(p.Freq)
 	return p
+}
+
+// CostInputs assembles the Section 4 cost model inputs for a cache budget
+// from the profile and the geometry of the dataset it was taken over.
+func (p *Profile) CostInputs(budget int64) costmodel.Inputs {
+	return costmodel.Inputs{
+		AvgCandSize: p.AvgCandSize,
+		FreqSorted:  p.FreqSorted(),
+		BudgetBytes: budget,
+		Dim:         p.DS.Dim,
+		DomainWidth: p.DS.Domain.Hi - p.DS.Domain.Lo,
+		Ndom:        p.DS.Domain.Ndom,
+		Dmax:        p.AvgDmax,
+		Lvalue:      32,
+	}
 }
 
 // FreqSorted returns the workload frequencies in descending order — the f_i

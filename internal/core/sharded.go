@@ -684,7 +684,7 @@ func (se *ShardedEngine) SearchCtx(ctx context.Context, q []float32, k int, dst 
 // SearchBatch is Engine.SearchBatch scatter-gathered across shards:
 // per-query Phase 1+2 through the router, then the one cross-query coalesced
 // refinement over (shard, local unit) fetch units, so per-query PageReads
-// match the unsharded batch exactly.
-func (se *ShardedEngine) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error) {
-	return se.searchBatch(ctx, qs, k, nil)
+// match the unsharded batch exactly, under the same overlay mg.
+func (se *ShardedEngine) SearchBatch(ctx context.Context, qs [][]float32, k int, mg *Merge) ([][]int, []QueryStats, error) {
+	return se.searchBatch(ctx, qs, k, mg, nil)
 }

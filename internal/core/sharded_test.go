@@ -175,10 +175,8 @@ func TestShardedSearchBitIdentical(t *testing.T) {
 
 // TestShardedBatchBitIdentical pins the batch path: one cross-query
 // coalesced refinement over (shard, unit) ids must read the same pages and
-// return the same results as the unsharded batch. The batch entry points take
-// no Merge overlay, so there is no merged batch to hold to this contract; the
-// overlay's bit-identity is pinned on the single-query path (merge_test.go),
-// which shares phase12 with the batch.
+// return the same results as the unsharded batch. The merged batch is held
+// to the same contract in merge_test.go (batchRows).
 func TestShardedBatchBitIdentical(t *testing.T) {
 	w := buildTieWorld(t, 1203, 16, 4)
 	cfg := Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6}
@@ -194,11 +192,11 @@ func TestShardedBatchBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantIDs, wantSts, err := ref.SearchBatch(context.Background(), w.qtest, k)
+			wantIDs, wantSts, err := ref.SearchBatch(context.Background(), w.qtest, k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotIDs, gotSts, err := se.SearchBatch(context.Background(), w.qtest, k)
+			gotIDs, gotSts, err := se.SearchBatch(context.Background(), w.qtest, k, nil)
 			if err != nil {
 				t.Fatalf("%s/%d shards: %v", layout, n, err)
 			}

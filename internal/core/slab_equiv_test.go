@@ -20,9 +20,9 @@ func TestSlabEquivalence(t *testing.T) {
 		ks   []int
 	}
 	variants := []variant{
-		{"hco-lut", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, LUTMinCandidates: 1}, []int{1, 5, 10}},
-		{"hco-nolut", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, LUTMinCandidates: -1}, []int{5}},
-		{"hco-parallel", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, LUTMinCandidates: 1, ParallelReduceThreshold: 1}, []int{5}},
+		{"hco-lut", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, lutMinCandidates: 1}, []int{1, 5, 10}},
+		{"hco-nolut", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, lutMinCandidates: -1}, []int{5}},
+		{"hco-parallel", Config{Method: HCO, CacheBytes: 64 << 10, Tau: 7, lutMinCandidates: 1, parallelReduceThreshold: 1}, []int{5}},
 		{"hcd-tau8", Config{Method: HCD, CacheBytes: 96 << 10, Tau: 8}, []int{5}},
 		{"ihco", Config{Method: IHCO, CacheBytes: 64 << 10, Tau: 6}, []int{5}},
 		{"cva", Config{Method: CVA, CacheBytes: 32 << 10}, []int{5}},

@@ -84,64 +84,6 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestProfileRoundTrip(t *testing.T) {
-	w := buildWorld(t, 600, 8, 73)
-	var buf bytes.Buffer
-	if _, err := w.prof.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProfile(w.ds, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != w.prof.K || len(got.WL) != len(w.prof.WL) {
-		t.Fatalf("header changed: k=%d |WL|=%d", got.K, len(got.WL))
-	}
-	if got.AvgCandSize != w.prof.AvgCandSize || got.AvgDmax != w.prof.AvgDmax {
-		t.Fatalf("averages changed: %v/%v vs %v/%v", got.AvgCandSize, got.AvgDmax, w.prof.AvgCandSize, w.prof.AvgDmax)
-	}
-	// Frequencies and ranking identical.
-	if len(got.Ranked) != len(w.prof.Ranked) {
-		t.Fatal("ranking length changed")
-	}
-	for i := range got.Ranked {
-		if got.Ranked[i] != w.prof.Ranked[i] {
-			t.Fatalf("ranking diverged at %d", i)
-		}
-	}
-	// Engines built from the two profiles behave identically.
-	a, err := NewEngine(w.pf, w.prof, candFunc(w.ix), Config{Method: HCO, CacheBytes: 32 << 10, Tau: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewEngine(w.pf, got, candFunc(w.ix), Config{Method: HCO, CacheBytes: 32 << 10, Tau: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range w.qtest[:5] {
-		_, sa, err := a.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, sb, err := b.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa.Hits != sb.Hits || sa.Fetched != sb.Fetched {
-			t.Fatalf("profiles diverge: %+v vs %+v", sa, sb)
-		}
-	}
-	// Garbage rejection.
-	if _, err := ReadProfile(w.ds, bytes.NewReader([]byte("garbage data"))); err == nil {
-		t.Fatal("expected error on bad magic")
-	}
-	var buf2 bytes.Buffer
-	w.prof.WriteTo(&buf2)
-	if _, err := ReadProfile(w.ds, bytes.NewReader(buf2.Bytes()[:buf2.Len()/3])); err == nil {
-		t.Fatal("expected error on truncation")
-	}
-}
-
 // snapSetup builds a world and a valid HC-O snapshot for corruption tests.
 func snapSetup(t testing.TB) (*world, []byte) {
 	w := buildWorld(t, 300, 8, 74)

@@ -46,13 +46,15 @@ type TreeConfig struct {
 	Tau int
 	// SmoothEps as in Config.
 	SmoothEps float64
-	// LUTMinCachedPoints gates the per-query ADC lookup table for HC-*
-	// leaf caches, mirroring Config.LUTMinCandidates: the LUT costs
-	// O(dim·B) per query, so it only pays once enough approximate points
-	// are cached. 0 means the default 2·B; negative disables the LUT.
-	// Unlike the flat engine the cached population is fixed at build time,
-	// so the gate is decided once, not per query.
-	LUTMinCachedPoints int
+
+	// lutMinCachedPoints is a test seam, not an option: the gate of the
+	// per-query ADC lookup table for HC-* leaf caches, mirroring
+	// Config.lutMinCandidates. The LUT costs O(dim·B) per query, so it only
+	// pays once enough approximate points are cached. 0 selects the gate
+	// (2·B); negative disables the LUT. Unlike the flat engine the cached
+	// population is fixed at build time, so the gate is decided once, not
+	// per query.
+	lutMinCachedPoints int
 }
 
 // exactLeaf is the payload of the EXACT leaf cache.
@@ -186,7 +188,7 @@ func NewTreeEngine(ds *dataset.Dataset, ix LeafIndex, store *leafstore.Store, wl
 				}
 				cachedPts += len(ids)
 			})
-		th := cfg.LUTMinCachedPoints
+		th := cfg.lutMinCachedPoints
 		if th == 0 {
 			th = 2 * e.table.Buckets()
 		}

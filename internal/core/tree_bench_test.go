@@ -10,7 +10,7 @@ import (
 func benchAllCachedTree(b *testing.B, method Method, lutMin int) (*TreeEngine, []float32) {
 	w := buildTreeWorld(b, "rtree", 2000, 16, 205)
 	eng, err := NewTreeEngine(w.ds, w.ix, w.store, w.wl, 10, TreeConfig{
-		Method: method, CacheBytes: 1 << 30, Tau: 8, LUTMinCachedPoints: lutMin,
+		Method: method, CacheBytes: 1 << 30, Tau: 8, lutMinCachedPoints: lutMin,
 	})
 	if err != nil {
 		b.Fatal(err)

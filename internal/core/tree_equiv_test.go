@@ -182,9 +182,9 @@ func TestTreeSearchEquivalence(t *testing.T) {
 			}{
 				{"nocache", TreeConfig{Method: NoCache}},
 				{"exact", TreeConfig{Method: Exact, CacheBytes: 128 << 10}},
-				{"hcw", TreeConfig{Method: HCW, CacheBytes: 96 << 10, Tau: 7, LUTMinCachedPoints: -1}},
-				{"hco", TreeConfig{Method: HCO, CacheBytes: 96 << 10, Tau: 7, LUTMinCachedPoints: -1}},
-				{"hco-lut", TreeConfig{Method: HCO, CacheBytes: 96 << 10, Tau: 7, LUTMinCachedPoints: 1}},
+				{"hcw", TreeConfig{Method: HCW, CacheBytes: 96 << 10, Tau: 7, lutMinCachedPoints: -1}},
+				{"hco", TreeConfig{Method: HCO, CacheBytes: 96 << 10, Tau: 7, lutMinCachedPoints: -1}},
+				{"hco-lut", TreeConfig{Method: HCO, CacheBytes: 96 << 10, Tau: 7, lutMinCachedPoints: 1}},
 			} {
 				t.Run(fmt.Sprintf("%s/%d/%s", kind, seed, tc.name), func(t *testing.T) {
 					eng, err := NewTreeEngine(w.ds, w.ix, w.store, w.wl, 10, tc.cfg)
@@ -192,7 +192,7 @@ func TestTreeSearchEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					if tc.name == "hco-lut" && !eng.buildLUT {
-						t.Fatal("LUT gate did not open with LUTMinCachedPoints=1")
+						t.Fatal("LUT gate did not open with lutMinCachedPoints=1")
 					}
 					var dst []int
 					for _, k := range []int{1, 5, 10} {

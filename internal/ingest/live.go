@@ -1,9 +1,10 @@
 // Live ties the write path together: validated, clamped inserts and
-// idempotent deletes go WAL-first then into the delta index; searches run
-// merged Algorithm 1 over the base engine with the delta folded in; and a
-// background compactor folds the delta into the append-extended point file
-// through one ordinary RCU rebuild — the same non-blocking queue drift
-// rebuilds, adaptive-τ retunes and quarantine recoveries go through.
+// idempotent deletes go WAL-first then into the delta index, which publishes
+// the overlay every merged search takes (Overlay; searching itself is the
+// engine's business, not this package's); and a background compactor folds
+// the delta into the append-extended point file through one ordinary RCU
+// rebuild — the same non-blocking queue drift rebuilds, adaptive-τ retunes
+// and quarantine recoveries go through.
 
 package ingest
 
@@ -24,13 +25,6 @@ import (
 // ErrUnknownID marks a delete of an identifier no insert ever produced.
 var ErrUnknownID = errors.New("ingest: unknown point id")
 
-// Searcher is the read side Live serves through: any engine that can run a
-// merged Algorithm 1 search. *core.Engine, *core.ShardedEngine and
-// *core.Maintainer all implement it.
-type Searcher interface {
-	SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, core.QueryStats, error)
-}
-
 // Compactor launches one non-blocking RCU rebuild over a folded dataset,
 // profiled at the maintainer's own k. *core.Maintainer implements it; a nil
 // Compactor disables compaction (the delta and WAL then grow until restart —
@@ -45,15 +39,13 @@ type Config struct {
 	Dir string
 	// Fsync is the WAL durability policy (default FsyncAlways).
 	Fsync FsyncMode
-	// Searcher serves merged searches. Required.
-	Searcher Searcher
 	// Compactor runs compaction rebuilds; nil disables compaction.
 	Compactor Compactor
 	// PF is the base point file compaction appends to. Required when
 	// Compactor is set.
 	PF *disk.PointFile
 	// Fold is the current folded dataset (base file + recovered points) the
-	// searcher was built over. Required.
+	// serving engine was built over. Required.
 	Fold *dataset.Dataset
 	// BaseN is the length of the immutable base dataset file — constant
 	// across restarts, the id origin of every checkpoint. Required
@@ -65,10 +57,11 @@ type Config struct {
 	// CompactThreshold is the delta point count that triggers compaction
 	// (default 4096; ignored without a Compactor).
 	CompactThreshold int
-	// TombstoneRatio triggers compaction when tombstones taken since the
-	// last compaction exceed this fraction of the fold (default 0.25).
-	TombstoneRatio float64
 }
+
+// tombstoneRatio triggers compaction when the tombstones taken since the last
+// compaction reach this fraction of the fold.
+const tombstoneRatio = 0.25
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Fsync == "" {
@@ -76,9 +69,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CompactThreshold <= 0 {
 		cfg.CompactThreshold = 4096
-	}
-	if cfg.TombstoneRatio <= 0 {
-		cfg.TombstoneRatio = 0.25
 	}
 	return cfg
 }
@@ -108,7 +98,7 @@ type compactSnap struct {
 	tombsAtCut int64
 }
 
-// Live is the live-ingest subsystem over one searcher.
+// Live is the live-ingest write path of one serving system.
 type Live struct {
 	cfg   Config
 	dom   vec.Domain
@@ -117,8 +107,10 @@ type Live struct {
 	delta *Delta
 
 	// mu serializes writes so WAL record order equals identifier order.
+	// nextID is written under it and read without (telemetry must not queue
+	// behind an fsync).
 	mu           sync.Mutex
-	nextID       int64
+	nextID       atomic.Int64
 	pendingTombs int64 // deletes since the last successful compaction
 
 	// fold is the current folded dataset; touched only by the compaction
@@ -144,9 +136,6 @@ type Live struct {
 // RecoverResult (nil means a fresh directory was already confirmed empty).
 func Open(cfg Config, rec *RecoverResult) (*Live, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Searcher == nil {
-		return nil, fmt.Errorf("ingest: Config.Searcher is required")
-	}
 	if cfg.Fold == nil {
 		return nil, fmt.Errorf("ingest: Config.Fold is required")
 	}
@@ -177,7 +166,7 @@ func Open(cfg Config, rec *RecoverResult) (*Live, error) {
 		delta: NewDelta(tombs),
 		fold:  cfg.Fold,
 	}
-	l.nextID = int64(cfg.Fold.Len())
+	l.nextID.Store(int64(cfg.Fold.Len()))
 	l.foldN.Store(int64(cfg.Fold.Len()))
 	if rec != nil {
 		l.replayRecords = rec.Records
@@ -201,7 +190,7 @@ func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 	copy(p, v)
 	l.dom.ClampPoint(p)
 	l.mu.Lock()
-	id := l.nextID
+	id := l.nextID.Load()
 	if id > math.MaxInt32 {
 		l.mu.Unlock()
 		return 0, fmt.Errorf("ingest: point id space exhausted (%d ids, max %d)", id, math.MaxInt32)
@@ -211,7 +200,7 @@ func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 		return 0, err
 	}
 	l.delta.Add(int32(id), p)
-	l.nextID++
+	l.nextID.Store(id + 1)
 	l.inserts.Add(1)
 	l.maybeCompactLocked()
 	l.mu.Unlock()
@@ -227,10 +216,10 @@ func (l *Live) Delete(ctx context.Context, id int) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if id < 0 || int64(id) >= l.nextID {
+	if id < 0 || int64(id) >= l.nextID.Load() {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
-	if l.delta.Deleted(int32(id)) {
+	if _, dead := l.delta.cur.Load().Tombs[int64(id)]; dead {
 		return nil
 	}
 	if err := l.wal.AppendDelete(uint64(id)); err != nil {
@@ -243,31 +232,12 @@ func (l *Live) Delete(ctx context.Context, id int) error {
 	return nil
 }
 
-// Search runs a merged Algorithm 1 search: base candidates with tombstones
-// masked, delta points scored exactly, one shared k-th-bound reduction.
-// Results are id-identical to an engine rebuilt over the folded dataset.
-func (l *Live) Search(ctx context.Context, q []float32, k int, dst []int) ([]int, core.QueryStats, error) {
-	return l.cfg.Searcher.SearchCtx(ctx, q, k, dst, l.overlay())
-}
-
-// overlay builds the merge overlay for one search, or nil when the delta is
-// empty and nothing is tombstoned (the exact base fast path). The tombstone
-// set is snapshotted once: Merge.Deleted must stay stable for the duration of
-// the search (the engine counts surviving extras in one pass and fills them
-// in another), and the copy-on-write map a Delete published in between would
-// make the two passes disagree.
-func (l *Live) overlay() *core.Merge {
-	extra := l.delta.Snapshot()
-	tombs := l.delta.TombSet()
-	if len(extra) == 0 && len(tombs) == 0 {
-		return nil
-	}
-	deleted := func(id int32) bool {
-		_, dead := tombs[int64(id)]
-		return dead
-	}
-	return &core.Merge{Deleted: deleted, Extra: extra}
-}
+// Overlay returns the live overlay every merged search runs under — single
+// or batch, one value per request: the delta points and the tombstone set as
+// of the last completed write, nil when both are empty (the exact base fast
+// path). One atomic load, no lock; the value never changes once returned, so
+// a write landing mid-search surfaces in the next search, not this one.
+func (l *Live) Overlay() *core.Merge { return l.delta.Overlay() }
 
 // maybeCompactLocked launches a compaction when the delta or the tombstone
 // backlog crosses its threshold. Caller holds l.mu. Losing the rebuild CAS
@@ -276,8 +246,8 @@ func (l *Live) maybeCompactLocked() {
 	if l.cfg.Compactor == nil || l.compacting.Load() {
 		return
 	}
-	dp := l.delta.Len()
-	tombTrig := float64(l.pendingTombs) >= l.cfg.TombstoneRatio*float64(l.foldN.Load())
+	dp := len(l.delta.cur.Load().Extra)
+	tombTrig := float64(l.pendingTombs) >= tombstoneRatio*float64(l.foldN.Load())
 	if dp < l.cfg.CompactThreshold && !(l.pendingTombs > 0 && tombTrig) {
 		return
 	}
@@ -287,13 +257,13 @@ func (l *Live) maybeCompactLocked() {
 }
 
 // prepare runs on the maintainer's rebuild goroutine, off the search and
-// write paths: cut a consistent snapshot (delta prefix + sealed WAL horizon),
-// extend the point file, assemble the folded dataset, persist the cumulative
-// checkpoint, and rebuild the candidate index.
+// write paths: cut a consistent snapshot (the published overlay + the sealed
+// WAL horizon), extend the point file, assemble the folded dataset, persist
+// the cumulative checkpoint, and rebuild the candidate index.
 func (l *Live) prepare() (*dataset.Dataset, core.CandidateFunc, error) {
 	l.mu.Lock()
-	pts := l.delta.Snapshot()
-	tombs := l.delta.TombSet()
+	cut := l.delta.cur.Load()
+	pts, tombs := cut.Extra, cut.Tombs
 	tombsAtCut := l.pendingTombs
 	covered, err := l.wal.Rotate()
 	l.mu.Unlock()
@@ -366,26 +336,18 @@ func (l *Live) onDone(installed bool) {
 	l.compactions.Add(1)
 }
 
-// NumPoints reports the current live point count (fold + delta − tombstones).
-func (l *Live) NumPoints() int {
-	l.mu.Lock()
-	n := l.nextID
-	l.mu.Unlock()
-	return int(n) - l.delta.Tombstones()
-}
-
-// Stats snapshots the write path.
+// Stats snapshots the write path. It takes no lock: every figure is an
+// atomic or comes off the published overlay, so telemetry never waits for an
+// in-flight write's fsync.
 func (l *Live) Stats() Stats {
 	bytes, segs := l.wal.Stats()
-	l.mu.Lock()
-	next := l.nextID
-	l.mu.Unlock()
+	mg := l.delta.cur.Load()
 	return Stats{
 		WalBytes:             bytes,
 		WalSegments:          segs,
-		DeltaPoints:          l.delta.Len(),
-		Tombstones:           l.delta.Tombstones(),
-		Points:               int(next) - l.delta.Tombstones(),
+		DeltaPoints:          len(mg.Extra),
+		Tombstones:           len(mg.Tombs),
+		Points:               int(l.nextID.Load()) - len(mg.Tombs),
 		Inserts:              l.inserts.Load(),
 		Deletes:              l.deletes.Load(),
 		Compactions:          l.compactions.Load(),

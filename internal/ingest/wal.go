@@ -1,7 +1,7 @@
 // Package ingest is the live write path of the system: a durable write-ahead
-// log for inserts and deletes, an in-memory delta index overlaying the
-// immutable base engine through merged Algorithm 1 searches, crash recovery
-// by checkpoint load plus WAL replay, and a background compactor that folds
+// log for inserts and deletes, an in-memory delta index published as the one
+// overlay value merged Algorithm 1 searches take (the package itself knows
+// nothing about searching), crash recovery by checkpoint load plus WAL replay, and a background compactor that folds
 // the delta into the on-disk point file through one ordinary RCU engine
 // rebuild. See DESIGN.md §16 for the full lifecycle.
 package ingest
@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FsyncMode selects the WAL durability policy.
@@ -130,12 +131,14 @@ type WAL struct {
 	dim  int
 	mode FsyncMode
 
-	mu        sync.Mutex
-	f         *os.File
-	seq       uint64 // active segment
-	liveBytes int64  // bytes across every retained segment, active included
-	segments  int
-	buf       []byte
+	mu  sync.Mutex
+	f   *os.File
+	seq uint64 // active segment
+	buf []byte
+
+	// Written under mu, read by Stats without it.
+	liveBytes atomic.Int64 // bytes across every retained segment, active included
+	segments  atomic.Int64
 }
 
 // OpenWAL opens the log directory for appending, creating it if needed, and
@@ -169,8 +172,8 @@ func OpenWAL(dir string, dim int, startSeq uint64, mode FsyncMode) (*WAL, error)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: stat segment: %w", err)
 		}
-		w.liveBytes += fi.Size()
-		w.segments++
+		w.liveBytes.Add(fi.Size())
+		w.segments.Add(1)
 	}
 	if err := w.openSegment(startSeq); err != nil {
 		return nil, err
@@ -209,8 +212,8 @@ func (w *WAL) openSegment(seq uint64) error {
 	}
 	w.f = f
 	w.seq = seq
-	w.liveBytes += walHeaderSize
-	w.segments++
+	w.liveBytes.Add(walHeaderSize)
+	w.segments.Add(1)
 	return nil
 }
 
@@ -270,7 +273,7 @@ func (w *WAL) appendLocked(payload []byte) error {
 			return fmt.Errorf("ingest: sync wal record: %w", err)
 		}
 	}
-	w.liveBytes += int64(len(rec))
+	w.liveBytes.Add(int64(len(rec)))
 	return nil
 }
 
@@ -321,8 +324,8 @@ func (w *WAL) RemoveThrough(seq uint64) error {
 		if err := os.Remove(path); err != nil {
 			return fmt.Errorf("ingest: remove retired segment: %w", err)
 		}
-		w.liveBytes -= fi.Size()
-		w.segments--
+		w.liveBytes.Add(-fi.Size())
+		w.segments.Add(-1)
 		removed = true
 	}
 	if removed {
@@ -332,11 +335,10 @@ func (w *WAL) RemoveThrough(seq uint64) error {
 }
 
 // Stats reports the retained log size in bytes and the number of retained
-// segments (the active one included).
+// segments (the active one included). Lock-free: a reader never waits for an
+// append's fsync.
 func (w *WAL) Stats() (bytes int64, segments int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.liveBytes, w.segments
+	return w.liveBytes.Load(), int(w.segments.Load())
 }
 
 // Close syncs and closes the active segment. The WAL rejects appends

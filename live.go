@@ -11,11 +11,17 @@
 //
 // Every deployment serves through one Maintainer over Options.Shards units
 // and gets WAL-durable writes and merged searches, with writes attributed to
-// their home shard. Background compaction — folding the delta into the point
-// file through the maintainer's ordinary RCU rebuild — is armed iff there is
-// one unit: the physical fold of a sharded layout would have to re-partition
-// every shard file, so sharded deployments fold the WAL at restart recovery
-// instead. See DESIGN.md §17.
+// their home shard. The write path publishes the live overlay — delta points
+// plus tombstones — as one immutable value (Live.Overlay, one atomic load);
+// every request, POST /search or a whole POST /search/batch, takes it once
+// and runs the maintainer's ordinary search under it, so a live batch is the
+// same coalesced batch a static deployment serves. See DESIGN.md §16.
+//
+// Background compaction — folding the delta into the point file through the
+// maintainer's ordinary RCU rebuild — is armed iff there is one unit: the
+// physical fold of a sharded layout would have to re-partition every shard
+// file, so sharded deployments fold the WAL at restart recovery instead. See
+// DESIGN.md §17.
 
 package exploitbit
 
@@ -64,9 +70,6 @@ type LiveOptions struct {
 	// CompactThreshold is the delta point count that triggers background
 	// compaction (default 4096; compaction only runs unsharded).
 	CompactThreshold int
-	// TombstoneRatio triggers compaction when tombstones taken since the
-	// last one exceed this fraction of the fold (default 0.25).
-	TombstoneRatio float64
 }
 
 // RecoverFold replays the WAL directory against the base dataset and returns
@@ -145,11 +148,9 @@ func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt Ma
 	icfg := ingest.Config{
 		Dir:              lopt.WalDir,
 		Fsync:            lopt.Fsync,
-		Searcher:         m,
 		Fold:             fold,
 		BaseN:            ds.Len(),
 		CompactThreshold: lopt.CompactThreshold,
-		TombstoneRatio:   lopt.TombstoneRatio,
 	}
 	if sys.Shards() == 1 {
 		// Compaction is armed iff N = 1: folding the delta into a sharded
@@ -198,9 +199,9 @@ func (ls *LiveSystem) Delete(ctx context.Context, id int) error {
 	return err
 }
 
-// Search serves one merged query through the live overlay.
+// Search serves one merged query under the current live overlay.
 func (ls *LiveSystem) Search(ctx context.Context, q []float32, k int, dst []int) ([]int, QueryStats, error) {
-	return ls.Live.Search(ctx, q, k, dst)
+	return ls.Maintainer.SearchCtx(ctx, q, k, dst, ls.Live.Overlay())
 }
 
 // Stats snapshots the write path.
@@ -222,40 +223,17 @@ func (ls *LiveSystem) Close() error {
 
 // ServeLive exposes a live system over HTTP: everything ServeMaintained
 // serves, plus POST /insert and POST /delete and the ingest telemetry block on
-// /stats and /metrics. Searches go through the merged overlay, so freshly
-// inserted points are visible and deleted points masked immediately.
+// /stats and /metrics. Searches, single and batch, run under the live overlay,
+// so freshly inserted points are visible and deleted points masked
+// immediately.
 func ServeLive(ls *LiveSystem, opt ServeOptions) http.Handler {
 	m := ls.Maintainer
 	return newHandler(served{s: m, shards: m.ShardAggregates, m: m, ls: ls}, opt)
 }
 
-// servedLive is served over a live system: searches go through the overlay,
-// and the write methods are what the handler discovers as its Ingestor.
+// servedLive is served plus the write methods the handler discovers as its
+// Ingestor; searching is served's, overlay included.
 type servedLive struct{ served }
-
-func (sl servedLive) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
-	ids, st, err := sl.ls.Live.Search(ctx, q, k, nil)
-	return ids, wireStats(st), err
-}
-
-// SearchBatch is overlay-aware: with an empty overlay the maintainer's
-// coalesced batch runs untouched; with live delta points or tombstones the
-// batch degrades to per-query merged searches, trading coalesced refinement
-// I/O for correct merged results.
-func (sl servedLive) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
-	if st := sl.ls.Live.Stats(); st.DeltaPoints == 0 && st.Tombstones == 0 {
-		return sl.served.SearchBatch(ctx, qs, k)
-	}
-	ids := make([][]int, len(qs))
-	sts := make([]server.Stats, len(qs))
-	for i, q := range qs {
-		var err error
-		if ids[i], sts[i], err = sl.Search(ctx, q, k); err != nil {
-			return nil, nil, err
-		}
-	}
-	return ids, sts, nil
-}
 
 func (sl servedLive) Insert(ctx context.Context, vec []float32) (int, error) {
 	return sl.ls.Insert(ctx, vec)

@@ -124,7 +124,7 @@ func TestLiveInsertVisibleDeleteMasked(t *testing.T) {
 	if st.Inserts != 1 || st.Deletes != 1 || st.DeltaPoints != 1 || st.Tombstones != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if got, want := ls.Live.NumPoints(), ds.Len(); got != want {
+	if got, want := ls.Stats().Points, ds.Len(); got != want {
 		t.Fatalf("NumPoints %d, want %d", got, want)
 	}
 }
@@ -181,7 +181,7 @@ func TestLiveKillAndRestart(t *testing.T) {
 			t.Fatalf("tombstone %d lost in recovery", id)
 		}
 	}
-	if got, want := lsA.Live.NumPoints(), ds.Len()+40-len(rec.Tombs); got != want {
+	if got, want := lsA.Stats().Points, ds.Len()+40-len(rec.Tombs); got != want {
 		t.Fatalf("NumPoints %d after recovery, want %d", got, want)
 	}
 
@@ -246,7 +246,7 @@ func TestLiveCompactionAndRestart(t *testing.T) {
 	if err != nil || len(ids) != 5 {
 		t.Fatalf("post-compaction search: %v %v", ids, err)
 	}
-	wantPoints := ls.Live.NumPoints()
+	wantPoints := ls.Stats().Points
 
 	crash := copyDir(t, walDir)
 	ls.Close()
@@ -256,7 +256,7 @@ func TestLiveCompactionAndRestart(t *testing.T) {
 	if re.Recovery.CheckpointPoints == 0 {
 		t.Fatal("restart did not load the checkpoint")
 	}
-	if got := re.Live.NumPoints(); got != wantPoints {
+	if got := re.Stats().Points; got != wantPoints {
 		t.Fatalf("NumPoints %d after restart, want %d", got, wantPoints)
 	}
 	if len(re.Recovery.Points) != 60 {
@@ -443,6 +443,97 @@ func TestServeLiveEndpoints(t *testing.T) {
 			t.Fatalf("%s ingest block %v", path, ing)
 		}
 	}
+}
+
+// TestLiveBatchCoalescesUnderOverlay pins live × batch over HTTP: with a
+// non-empty overlay (one delta point, one tombstone) POST /search/batch is
+// still the coalesced batch — every member answers exactly as POST /search
+// does, the inserted point is in and the deleted one out, and four copies of
+// one query read strictly fewer pages together than four single searches.
+// The same must hold after a restart, when the overlay is the recovered
+// tombstone alone: tombstones never retire, so a deployment that has ever
+// deleted serves every batch under an overlay.
+func TestLiveBatchCoalescesUnderOverlay(t *testing.T) {
+	walDir := t.TempDir()
+	const k = 10
+	var q []float32
+	inserted, deleted := -1, -1
+
+	check := func(stage string, ls *LiveSystem) {
+		t.Helper()
+		srv := httptest.NewServer(ServeLive(ls, ServeOptions{}))
+		defer srv.Close()
+		post := func(path string, body any) map[string]any {
+			t.Helper()
+			resp, out := postJSON(t, srv, path, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: POST %s = %d: %v", stage, path, resp.StatusCode, out)
+			}
+			return out
+		}
+		answer := func(res map[string]any) ([]int, int64) {
+			var ids []int
+			for _, v := range res["ids"].([]any) {
+				ids = append(ids, int(v.(float64)))
+			}
+			return ids, int64(res["stats"].(map[string]any)["page_reads"].(float64))
+		}
+
+		if inserted < 0 {
+			// Write through the handler: a near-duplicate of the query goes
+			// in, one of the query's current neighbours goes out.
+			before, _ := answer(post("/search", map[string]any{"vector": q, "k": k}))
+			inserted = int(post("/insert", map[string]any{"vector": q})["id"].(float64))
+			deleted = before[0]
+			post("/delete", map[string]any{"id": deleted})
+		}
+		if mg := ls.Live.Overlay(); mg == nil || len(mg.Tombs) != 1 {
+			t.Fatalf("%s: overlay %+v, want one tombstone", stage, mg)
+		}
+
+		var single []int
+		var singleReads int64
+		for i := 0; i < 4; i++ {
+			ids, reads := answer(post("/search", map[string]any{"vector": q, "k": k}))
+			if i == 0 {
+				single = ids
+			} else if !reflect.DeepEqual(ids, single) {
+				t.Fatalf("%s: single search unstable: %v then %v", stage, single, ids)
+			}
+			singleReads += reads
+		}
+		if !containsID(single, inserted) || containsID(single, deleted) {
+			t.Fatalf("%s: single ids %v, want inserted %d in and deleted %d out", stage, single, inserted, deleted)
+		}
+		if singleReads == 0 {
+			t.Fatalf("%s: degenerate fixture: single searches read no pages", stage)
+		}
+
+		res := post("/search/batch", map[string]any{"vectors": [][]float32{q, q, q, q}, "k": k})
+		var batchReads int64
+		for j, m := range res["results"].([]any) {
+			ids, reads := answer(m.(map[string]any))
+			if !reflect.DeepEqual(ids, single) {
+				t.Fatalf("%s: batch member %d ids %v, single search %v", stage, j, ids, single)
+			}
+			batchReads += reads
+		}
+		if batchReads >= singleReads {
+			t.Fatalf("%s: batch of four read %d pages, four singles %d — want strictly fewer", stage, batchReads, singleReads)
+		}
+	}
+
+	ls, ds, _ := liveFixture(t, walDir, LiveOptions{Fsync: FsyncNone, CompactThreshold: 1 << 20})
+	q = append([]float32(nil), ds.Point(11)...)
+	q[0] += 0.001
+	check("delta + tombstone", ls)
+	if err := ls.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, _, _ := liveFixture(t, walDir, LiveOptions{Fsync: FsyncNone, CompactThreshold: 1 << 20})
+	defer re.Close()
+	check("recovered tombstone", re)
 }
 
 // TestLiveSharded covers the sharded write path: durable writes, merged

@@ -24,30 +24,40 @@ type ServeOptions struct {
 	MaxBatch int
 }
 
-// searcher is what every served engine type — Engine, Sharded, Maintainer,
-// and the live overlay in front of a Maintainer — gives the HTTP handler.
+// searcher is what every served engine type — Engine, Sharded, Maintainer —
+// gives the HTTP handler.
 type searcher interface {
 	SearchCtx(ctx context.Context, q []float32, k int, dst []int, mg *core.Merge) ([]int, QueryStats, error)
-	SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []QueryStats, error)
+	SearchBatch(ctx context.Context, qs [][]float32, k int, mg *core.Merge) ([][]int, []QueryStats, error)
 	Dim() int
 	DiskStats() disk.Stats
 }
 
 // served adapts a searcher to everything the HTTP handler discovers on its
 // Searcher: single and batch search in the wire vocabulary (every searcher
-// coalesces a batch's refinement I/O, so overlapping queries share page reads)
-// and the telemetry report. Which blocks a deployment reports is decided here
-// and nowhere else, by which of the optional fields its Serve* constructor set.
+// coalesces a batch's refinement I/O, so overlapping queries share page reads
+// — under a live overlay too) and the telemetry report. Which blocks a
+// deployment reports is decided here and nowhere else, by which of the
+// optional fields its Serve* constructor set.
 type served struct {
 	s      searcher
 	shards func() []ShardAggregate // nil: the static flat engine has no shards[]
 	m      *Maintainer             // nil: nothing rebuilds — no maintain, no costmodel
-	ls     *LiveSystem             // nil: no write path — no ingest
+	ls     *LiveSystem             // nil: no write path — no overlay, no ingest
+}
+
+// overlay is the one overlay value a request searches under: the live
+// system's published one, nil (plain search) without a write path.
+func (sv served) overlay() *core.Merge {
+	if sv.ls == nil {
+		return nil
+	}
+	return sv.ls.Live.Overlay()
 }
 
 // newHandler is the one place a handler is built. A live system is served
-// through the servedLive variant, which is what gives the handler its
-// Ingestor.
+// through the servedLive variant, which adds the write methods the handler
+// discovers as its Ingestor.
 func newHandler(sv served, opt ServeOptions) http.Handler {
 	var s server.Searcher = sv
 	if sv.ls != nil {
@@ -102,12 +112,12 @@ func wireStats(st QueryStats) server.Stats {
 }
 
 func (sv served) Search(ctx context.Context, q []float32, k int) ([]int, server.Stats, error) {
-	ids, st, err := sv.s.SearchCtx(ctx, q, k, nil, nil)
+	ids, st, err := sv.s.SearchCtx(ctx, q, k, nil, sv.overlay())
 	return ids, wireStats(st), err
 }
 
 func (sv served) SearchBatch(ctx context.Context, qs [][]float32, k int) ([][]int, []server.Stats, error) {
-	ids, sts, err := sv.s.SearchBatch(ctx, qs, k)
+	ids, sts, err := sv.s.SearchBatch(ctx, qs, k, sv.overlay())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -21,11 +21,18 @@ func serveFixture(t *testing.T) (http.Handler, *System, [][]float32) {
 
 func postSearch(t *testing.T, srv *httptest.Server, body any) (*http.Response, map[string]any) {
 	t.Helper()
+	return postJSON(t, srv, "/search", body)
+}
+
+// postJSON posts body to path and decodes the JSON object that comes back,
+// whatever the status.
+func postJSON(t *testing.T, srv *httptest.Server, path string, body any) (*http.Response, map[string]any) {
+	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/search", "application/json", bytes.NewReader(raw))
+	resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
