@@ -27,7 +27,7 @@ func failAllReads(pf *disk.PointFile) {
 // candidates NOT owned by the failed shards.
 func checkDegradedKNN(t *testing.T, w *world, owner []int32, failed map[int]bool, q []float32, ids []int, k int) {
 	t.Helper()
-	cids, _ := candFunc(w.ix)(q, k)
+	cids, _ := candFunc(w.ix)(nil, q, k)
 	var surv []int
 	for _, id := range cids {
 		if !failed[int(owner[id])] {
@@ -173,7 +173,7 @@ func TestDegradedBatchServing(t *testing.T) {
 	for j, q := range w.qtest {
 		if !sts[j].Degraded {
 			// Not degraded ⇒ the query had no candidates on the failed shard.
-			cids, _ := candFunc(w.ix)(q, k)
+			cids, _ := candFunc(w.ix)(nil, q, k)
 			for _, id := range cids {
 				if int(owner[id]) == bad {
 					t.Fatalf("q%d not flagged despite candidate on failed shard", j)
@@ -206,7 +206,7 @@ func TestQuarantineRefusedWithoutDegradedOK(t *testing.T) {
 		_, _, err := se.SearchCtx(context.Background(), q, 10, nil, nil)
 		if err == nil {
 			// Legal only if no candidate was owned by the quarantined shard.
-			cids, _ := candFunc(w.ix)(q, 10)
+			cids, _ := candFunc(w.ix)(nil, q, 10)
 			for _, id := range cids {
 				if int(owner[id]) == bad {
 					t.Fatal("query touched quarantined shard without error")

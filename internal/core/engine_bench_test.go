@@ -52,8 +52,8 @@ func BenchmarkEngineBuild(b *testing.B) {
 func benchAllHitsEngine(b *testing.B, lutMin, parMin int, noSlab bool) (*Engine, []float32) {
 	w := buildWorld(b, 2000, 16, 77)
 	q := w.qtest[0]
-	ids, dmax := candFunc(w.ix)(q, 10)
-	static := func([]float32, int) ([]int, float64) { return ids, dmax }
+	ids, dmax := candFunc(w.ix)(nil, q, 10)
+	static := func(dst []int, _ []float32, _ int) ([]int, float64) { return append(dst[:0], ids...), dmax }
 	eng, err := NewEngine(w.pf, w.prof, static, Config{
 		Method: CVA, CacheBytes: 1 << 30,
 		lutMinCandidates: lutMin, parallelReduceThreshold: parMin,

@@ -41,8 +41,8 @@ func buildWorld(t testing.TB, n, dim int, seed int64) *world {
 }
 
 func candFunc(ix *lsh.Index) CandidateFunc {
-	return func(q []float32, k int) ([]int, float64) {
-		r := ix.Candidates(q, k)
+	return func(dst []int, q []float32, k int) ([]int, float64) {
+		r := ix.CandidatesInto(dst, q, k)
 		return r.IDs, r.Dmax
 	}
 }
@@ -74,7 +74,7 @@ func TestSearchPreservesResultQualityAllMethods(t *testing.T) {
 				t.Fatal(err)
 			}
 			for qi, q := range w.qtest {
-				ids, dmax := candFunc(w.ix)(q, k)
+				ids, dmax := candFunc(w.ix)(nil, q, k)
 				want := knnOfCandidates(w.ds, q, ids, k)
 				got, st, err := eng.Search(q, k)
 				if err != nil {

@@ -18,11 +18,11 @@ import (
 // dataset, so merged-search equivalence is not confounded by index
 // construction differing between the base and the folded dataset.
 func allCandsOf(ds *dataset.Dataset, n int) CandidateFunc {
-	return func(q []float32, k int) ([]int, float64) {
-		ids := make([]int, n)
+	return func(dst []int, q []float32, k int) ([]int, float64) {
+		ids := dst[:0]
 		dmax := 0.0
 		for i := 0; i < n; i++ {
-			ids[i] = i
+			ids = append(ids, i)
 			if d := vec.Dist(q, ds.Point(i)); d > dmax {
 				dmax = d
 			}

@@ -113,7 +113,8 @@ func (p *pipeline) phase12(sc *searchScratch, q []float32, k int, dst []int, mg 
 
 	// Phase 1: one index probe, whatever scores its candidates.
 	t0 := time.Now()
-	ids, dmax := p.cands(q, k)
+	ids, dmax := p.cands(sc.candIDs, q, k)
+	sc.candIDs = ids
 	st.GenTime = time.Since(t0)
 	st.Dmax = dmax
 
@@ -123,13 +124,13 @@ func (p *pipeline) phase12(sc *searchScratch, q []float32, k int, dst []int, mg 
 	var extra []MergePoint
 	if mg != nil {
 		if len(mg.Tombs) > 0 {
-			sc.mergeIDs = sc.mergeIDs[:0]
+			live := ids[:0]
 			for _, id := range ids {
 				if !mg.dead(id) {
-					sc.mergeIDs = append(sc.mergeIDs, id)
+					live = append(live, id)
 				}
 			}
-			ids = sc.mergeIDs
+			ids = live
 		}
 		extra = mg.Extra
 	}

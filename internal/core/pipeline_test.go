@@ -106,7 +106,7 @@ func TestShardedReduceWorkersReportWhatRan(t *testing.T) {
 		// wide_sharded's shape: every point a candidate (≥ shardFanThreshold),
 		// two shards engaged, each below the per-engine parallel threshold.
 		ids := allIDs(w.ds.Len())
-		all := func([]float32, int) ([]int, float64) { return ids, 1 }
+		all := func(dst []int, _ []float32, _ int) ([]int, float64) { return append(dst[:0], ids...), 1 }
 		specs, owner, local := buildShardSpecs(t, w, 2, shard.RoundRobin)
 		se, err := NewShardedEngine(specs, owner, local, w.prof, all, Config{Method: HCO, CacheBytes: 64 << 10, Tau: 6})
 		if err != nil {
@@ -123,35 +123,38 @@ func TestShardedReduceWorkersReportWhatRan(t *testing.T) {
 }
 
 // TestSearchIntoAllocs pins the allocation contract of the steady-state serve
-// path: with a candidate generator that returns a fixed slice, every
-// candidate cached and a reused result buffer, SearchInto on the flat engine
-// allocates nothing, and the scatter-gather scorer — below shardFanThreshold,
-// where it starts no goroutine — allocates no more than that at N = 1 and
-// N = 3: the pooled scratch absorbs the scatter lists, the engine snapshot
-// and the per-shard statistics.
+// path: with every candidate cached and a reused result buffer, SearchInto on
+// the flat engine allocates nothing, and the scatter-gather scorer — below
+// shardFanThreshold, where it starts no goroutine — allocates no more than
+// that at N = 1 and N = 3: the pooled scratch absorbs the candidate ids, the
+// scatter lists, the engine snapshot and the per-shard statistics. It holds
+// with a stub generator and with Phase 1 for real (the C2LSH index counting
+// collisions on its own pooled scratch).
 func TestSearchIntoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	w := buildWorld(t, 2000, 16, 77)
 	q := w.qtest[0]
-	ids, dmax := candFunc(w.ix)(q, 10)
+	ids, dmax := candFunc(w.ix)(nil, q, 10)
 	if len(ids) >= shardFanThreshold {
 		t.Fatalf("%d candidates reach the shard fan-out threshold", len(ids))
 	}
-	static := func([]float32, int) ([]int, float64) { return ids, dmax }
-	// C-VA within budget caches the whole dataset: all hits.
-	names, rows := servingRows(t, w.ds, w.pf, w.prof, static, Config{Method: CVA, CacheBytes: 1 << 30, parallelReduceThreshold: -1})
-	dst := make([]int, 0, 64)
-	for i, s := range rows {
-		allocs := testing.AllocsPerRun(100, func() {
-			var err error
-			if dst, _, err = s.SearchInto(q, 10, dst[:0]); err != nil {
-				t.Fatal(err)
+	static := func(dst []int, _ []float32, _ int) ([]int, float64) { return append(dst[:0], ids...), dmax }
+	for gen, cands := range map[string]CandidateFunc{"stub": static, "lsh": candFunc(w.ix)} {
+		// C-VA within budget caches the whole dataset: all hits.
+		names, rows := servingRows(t, w.ds, w.pf, w.prof, cands, Config{Method: CVA, CacheBytes: 1 << 30, parallelReduceThreshold: -1})
+		dst := make([]int, 0, 64)
+		for i, s := range rows {
+			allocs := testing.AllocsPerRun(100, func() {
+				var err error
+				if dst, _, err = s.SearchInto(q, 10, dst[:0]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s, %s candidates: %v allocs per SearchInto, want 0", names[i], gen, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per SearchInto, want 0", names[i], allocs)
 		}
 	}
 }

@@ -11,8 +11,10 @@ import (
 
 // CandidateFunc is Phase 1: an index I reporting candidate identifiers for a
 // query (Definition 4), plus the index's distance guarantee Dmax for the
-// cost model (c·R·w for C2LSH, ub_k for VA-file filtering).
-type CandidateFunc func(q []float32, k int) (ids []int, dmax float64)
+// cost model (c·R·w for C2LSH, ub_k for VA-file filtering). The identifiers
+// are appended to dst[:0] and are the caller's from then on, so a caller that
+// hands the same buffer back query after query pays no allocation.
+type CandidateFunc func(dst []int, q []float32, k int) (ids []int, dmax float64)
 
 // Profile is the offline digest of a query workload WL against an index:
 // everything cache construction and the cost model need, computed once and
@@ -35,8 +37,10 @@ type Profile struct {
 func BuildProfile(ds *dataset.Dataset, cands CandidateFunc, wl [][]float32, k int) *Profile {
 	p := &Profile{K: k, WL: wl, DS: ds, Freq: make(map[int]int)}
 	var sumCands, sumDmax float64
+	var ids []int
 	for _, q := range wl {
-		ids, dmax := cands(q, k)
+		var dmax float64
+		ids, dmax = cands(ids, q, k)
 		set := make([]int32, len(ids))
 		for i, id := range ids {
 			set[i] = int32(id)

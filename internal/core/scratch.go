@@ -31,10 +31,9 @@ type searchScratch struct {
 	fetchBuf []float32
 	codes    []int
 
-	// mergeIDs holds the tombstone-filtered Phase-1 ids of a merged search;
-	// candidate funcs may return shared slices, so filtering never happens in
-	// place.
-	mergeIDs []int
+	// candIDs is the buffer Phase 1 reports the query's candidate ids into
+	// (a merged search masks tombstoned ids in place).
+	candIDs []int
 
 	// The partition's outcome, left by phase12 for Phase 3, the batch
 	// assembler and the scorer's settle: the true-hit identifiers (a window

@@ -246,9 +246,9 @@ func splitCapacity(capacity int, specs []ShardSpec) []int {
 // engine over that shard would see. The maintainer profiles rebuild windows
 // through it.
 func (se *ShardedEngine) ShardCandidates(s int) CandidateFunc {
-	return func(q []float32, k int) ([]int, float64) {
-		ids, dmax := se.cands(q, k)
-		var out []int
+	return func(dst []int, q []float32, k int) ([]int, float64) {
+		ids, dmax := se.cands(dst, q, k)
+		out := ids[:0] // filtered in place: the write never overtakes the read
 		for _, g := range ids {
 			if se.owner[g] == int32(s) {
 				out = append(out, int(se.local[g]))

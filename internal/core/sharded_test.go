@@ -20,7 +20,7 @@ import (
 // distance (the Algorithm 1 contract, indifferent to tie order).
 func checkKNN(t *testing.T, w *world, q []float32, ids []int, k int) {
 	t.Helper()
-	cids, _ := candFunc(w.ix)(q, k)
+	cids, _ := candFunc(w.ix)(nil, q, k)
 	want := knnOfCandidates(w.ds, q, cids, k)
 	if len(ids) != len(want) {
 		t.Fatalf("%d results, want %d", len(ids), len(want))

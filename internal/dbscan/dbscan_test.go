@@ -45,9 +45,9 @@ func engineOver(t testing.TB, ds *dataset.Dataset, method core.Method) *core.Eng
 	}
 	t.Cleanup(func() { pf.Close() })
 	ix := vafile.Build(ds, vafile.Params{BitsPerDim: 6})
-	cands := func(q []float32, k int) ([]int, float64) {
+	cands := func(dst []int, q []float32, k int) ([]int, float64) {
 		r := ix.Candidates(q, k)
-		return r.IDs, r.Dmax
+		return append(dst[:0], r.IDs...), r.Dmax
 	}
 	// The dataset itself is the probe workload.
 	wl := make([][]float32, ds.Len())

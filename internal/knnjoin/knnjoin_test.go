@@ -28,9 +28,9 @@ func joinWorld(t testing.TB, nS, nR, dim int, method core.Method) (*core.Engine,
 	}
 	t.Cleanup(func() { pf.Close() })
 	ix := vafile.Build(s, vafile.Params{BitsPerDim: 6})
-	cands := func(q []float32, k int) ([]int, float64) {
+	cands := func(dst []int, q []float32, k int) ([]int, float64) {
 		r := ix.Candidates(q, k)
-		return r.IDs, r.Dmax
+		return append(dst[:0], r.IDs...), r.Dmax
 	}
 	prof := core.BuildProfile(s, cands, probes, 5)
 	eng, err := core.NewEngine(pf, prof, cands, core.Config{Method: method, CacheBytes: 1 << 20, Tau: 7})

@@ -15,6 +15,7 @@ package lsh
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -77,16 +78,19 @@ type Index struct {
 	vals [][]int64
 	ids  [][]int32
 
-	// Per-query scratch (collision counters, version-stamped to avoid O(n)
-	// clears), pooled so concurrent queries never share state.
+	// Per-query scratch, pooled so concurrent queries never share state.
 	scratch sync.Pool
+	bits    uint // width of a cell's count field: m < 1<<bits
 }
 
-// queryScratch is one query's collision-counting state.
+// queryScratch is one query's working state: the collision cells (see
+// counter) and, per hash function, the query's hash and counted window.
 type queryScratch struct {
-	counts []int32
-	stamp  []int32
-	qid    int32
+	cells  []uint32
+	epoch  uint32
+	qf     []float64 // q widened once
+	qv     []int64
+	lo, hi []int
 }
 
 // collisionProb is the 2-stable LSH collision probability p(r) for two
@@ -144,10 +148,9 @@ func Build(ds *dataset.Dataset, p Params) *Index {
 		bias: make([]float64, m),
 		vals: make([][]int64, m),
 		ids:  make([][]int32, m),
+		bits: uint(bits.Len(uint(m))),
 	}
-	ix.scratch.New = func() any {
-		return &queryScratch{counts: make([]int32, n), stamp: make([]int32, n)}
-	}
+	ix.scratch.New = func() any { return ix.newScratch() }
 	for i := range ix.proj {
 		ix.proj[i] = rng.NormFloat64()
 	}
@@ -253,113 +256,204 @@ type Result struct {
 // candidates are found or the radius exhausts the hash-value range.
 // Safe for concurrent use: counting state is pooled per query.
 func (ix *Index) Candidates(q []float32, k int) Result {
+	return ix.CandidatesInto(nil, q, k)
+}
+
+// CandidatesInto is Candidates with the identifiers appended to dst[:0], so
+// a caller that keeps dst between queries pays no allocation.
+func (ix *Index) CandidatesInto(dst []int, q []float32, k int) Result {
 	if len(q) != ix.dim {
 		panic(fmt.Sprintf("lsh: query dim %d != index dim %d", len(q), ix.dim))
 	}
 	sc := ix.scratch.Get().(*queryScratch)
 	defer ix.scratch.Put(sc)
-	sc.qid++
-	if sc.qid == 0 { // stamp wrapped: reset to keep correctness
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.qid = 1
-	}
-	qid := sc.qid
+	return ix.candidates(sc, dst, q, k)
+}
 
+// candidates is the Phase-1 kernel, on a scratch nobody else is using.
+func (ix *Index) candidates(sc *queryScratch, dst []int, q []float32, k int) Result {
 	required := k + int(math.Ceil(ix.params.Beta*float64(ix.n)))
 	if required > ix.n {
 		required = ix.n
 	}
-
-	qv := make([]int64, ix.m)
-	for h := 0; h < ix.m; h++ {
-		qv[h] = ix.hashWith(ix.proj[h*ix.dim:(h+1)*ix.dim], ix.bias[h], q)
+	// A new epoch zeroes every count at once; the cells are cleared for real
+	// only when the epoch field wraps.
+	if sc.epoch++; sc.epoch > math.MaxUint32>>ix.bits {
+		clear(sc.cells)
+		sc.epoch = 1
+	}
+	base := sc.epoch << ix.bits
+	ct := counter{cells: sc.cells, base: base, hit: base | uint32(ix.l), required: required, stopAt: required}
+	if required < k {
+		// Clipped to n < k: no stopping early, fallback ranks the points by
+		// the partial counts of a query counted to exhaustion.
+		ct.stopAt = -1
 	}
 
-	// Window state per hash function: [lo, hi) index range currently
-	// counted, empty at start.
-	lo := make([]int, ix.m)
-	hi := make([]int, ix.m)
-	for h := range lo {
-		// Position of the R=1 window start.
-		lo[h] = sort.Search(ix.n, func(i int) bool { return ix.vals[h][i] >= qv[h] })
+	qv, lo, hi := sc.qv, sc.lo, sc.hi
+	for j, v := range q {
+		sc.qf[j] = float64(v)
+	}
+	for h := range qv {
+		// Same summation order as hashWith, so every floor lands in the
+		// bucket Build put the point in.
+		var dot float64
+		for j, a := range ix.proj[h*ix.dim : (h+1)*ix.dim] {
+			dot += a * sc.qf[j]
+		}
+		qv[h] = int64(math.Floor((dot + ix.bias[h]) / ix.w))
+		// Window [lo, hi) of positions counted so far: empty, at q's bucket.
+		lo[h] = lowerBound(ix.vals[h], qv[h])
 		hi[h] = lo[h]
 	}
 
-	var cands []int
-	count := func(h, idx int) {
-		id := ix.ids[h][idx]
-		if sc.stamp[id] != qid {
-			sc.stamp[id] = qid
-			sc.counts[id] = 0
-		}
-		sc.counts[id]++
-		// Terminating condition T1 of C2LSH: once k + β·n candidates have
-		// been collected the query stops, so later threshold-crossers are
-		// not admitted even within the same virtual-rehashing level. This
-		// keeps |C(q)| at the scale the paper reports (hundreds) instead of
-		// ballooning on coarse radius doublings over small datasets.
-		if int(sc.counts[id]) == ix.l && len(cands) < required {
-			cands = append(cands, int(id))
-		}
-	}
-
-	R := int64(1)
+	cands := dst[:0]
 	c := int64(ix.params.C)
-	for {
+	for R := int64(1); ; R *= c {
+		res := Result{Radius: int(R), Dmax: float64(c) * float64(R) * ix.w}
 		exhausted := true
-		for h := 0; h < ix.m; h++ {
-			// Bucket window of q at radius R in hash-value space.
+		for h, vs := range ix.vals {
+			// Bucket window of q at radius R in hash-value space. Windows
+			// nest from level to level, so each level counts the positions
+			// its two edges moved over: downwards from lo, then upwards
+			// from hi — the discovery order.
 			wlo := floorDiv(qv[h], R) * R
-			whi := wlo + R
-			vs := ix.vals[h]
-			for lo[h] > 0 && vs[lo[h]-1] >= wlo {
-				lo[h]--
-				count(h, lo[h])
-			}
-			for hi[h] < ix.n && vs[hi[h]] < whi {
-				count(h, hi[h])
-				hi[h]++
-			}
-			if lo[h] > 0 || hi[h] < ix.n {
+			oldLo, oldHi := lo[h], hi[h]
+			newLo := lowerBound(vs[:oldLo], wlo)
+			newHi := oldHi + lowerBound(vs[oldHi:], wlo+R)
+			lo[h], hi[h] = newLo, newHi
+			if canGrow(newLo, newHi, ix.n, wlo, wlo+R) {
 				exhausted = false
 			}
-		}
-		if len(cands) >= required || exhausted {
-			if len(cands) >= k || exhausted {
-				if len(cands) < k {
-					ix.fallback(&cands, sc, qid, k)
-				}
-				return Result{IDs: cands, Radius: int(R), Dmax: float64(c) * float64(R) * ix.w}
+			var stop bool
+			if cands, stop = ct.run(cands, ix.ids[h][newLo:oldLo], true); !stop {
+				cands, stop = ct.run(cands, ix.ids[h][oldHi:newHi], false)
+			}
+			if stop {
+				res.IDs = cands
+				return res
 			}
 		}
-		R *= c
+		if exhausted || (len(cands) >= required && len(cands) >= k) {
+			if len(cands) < k {
+				cands = ix.fallback(cands, ct, k)
+			}
+			res.IDs = cands
+			return res
+		}
 	}
+}
+
+// counter is one query's view of the collision cells: one cell per point id,
+// epoch<<bits | count, so a collision reads and writes one word and a cell
+// below base — last written by an earlier query — counts as zero.
+type counter struct {
+	cells     []uint32
+	base, hit uint32 // this query's epoch<<bits, and base | l: the cell value that admits its id
+	required  int    // admissions stop at this many candidates (k + β·n)
+	stopAt    int    // and there the query stops: required, or -1 for never
+}
+
+// run counts one collision for each id of a run of window positions, last to
+// first if down, and admits an id the moment its count reaches l. It reports
+// true when the query stops (see admit).
+func (ct counter) run(cands []int, ids []int32, down bool) (_ []int, stop bool) {
+	cells, base, hit := ct.cells, ct.base, ct.hit
+	// Two loops the compiler can keep in registers and free of bounds checks
+	// on ids; a single loop with a signed step runs 15-50 % slower, depending
+	// on where the linker happens to place it.
+	if down {
+		for i := len(ids) - 1; i >= 0; i-- {
+			id := ids[i]
+			cell := max(cells[id], base) + 1
+			cells[id] = cell
+			if cell == hit {
+				if cands, stop = ct.admit(cands, id); stop {
+					return cands, true
+				}
+			}
+		}
+		return cands, false
+	}
+	for _, id := range ids {
+		cell := max(cells[id], base) + 1
+		cells[id] = cell
+		if cell == hit {
+			if cands, stop = ct.admit(cands, id); stop {
+				return cands, true
+			}
+		}
+	}
+	return cands, false
+}
+
+// admit appends an id whose count reached l, unless k + β·n candidates have
+// been collected already. It reports true at terminating condition T1 of
+// C2LSH: once they have, the query stops — mid-level, mid-run. Later
+// threshold-crossers were never admitted and the level would end by returning
+// this radius anyway, so nothing the caller sees depends on the collisions
+// skipped. T1 keeps |C(q)| at the scale the paper reports (hundreds) instead
+// of ballooning on coarse radius doublings over small datasets.
+func (ct counter) admit(cands []int, id int32) ([]int, bool) {
+	if len(cands) >= ct.required {
+		return cands, false
+	}
+	cands = append(cands, int(id))
+	return cands, len(cands) == ct.stopAt
+}
+
+func (ix *Index) newScratch() *queryScratch {
+	return &queryScratch{
+		cells: make([]uint32, ix.n),
+		qf:    make([]float64, ix.dim), qv: make([]int64, ix.m), lo: make([]int, ix.m), hi: make([]int, ix.m),
+	}
+}
+
+// canGrow reports whether the counted window [lo, hi) of a hash function
+// with n values can still reach uncounted positions at a larger radius. An
+// edge at hash value 0 is pinned for good — buckets are aligned at multiples
+// of R, so no radius carries q's bucket across zero — and values beyond it
+// are out of reach: without this a query whose T1 is unreachable (k > n, or
+// β·n points that cannot all collide) would grow R until it overflows.
+func canGrow(lo, hi, n int, wlo, whi int64) bool {
+	return (lo > 0 && wlo != 0) || (hi < n && whi != 0)
+}
+
+// lowerBound returns the first index of ascending vs whose value is >= x
+// (len(vs) if none). The halving step is a conditional add, not a branch.
+func lowerBound(vs []int64, x int64) int {
+	i, n := 0, len(vs)
+	for n > 1 {
+		half := n >> 1
+		if vs[i+half-1] < x {
+			i += half
+		}
+		n -= half
+	}
+	if n == 1 && vs[i] < x {
+		i++
+	}
+	return i
 }
 
 // fallback pads the candidate set up to k ids when collision counting alone
 // cannot reach the threshold (tiny datasets, extreme parameters): points
 // with the highest partial collision counts first, then arbitrary ids.
-func (ix *Index) fallback(cands *[]int, sc *queryScratch, qid int32, k int) {
-	in := make(map[int]bool, len(*cands))
-	for _, id := range *cands {
+func (ix *Index) fallback(cands []int, ct counter, k int) []int {
+	in := make(map[int]bool, len(cands))
+	for _, id := range cands {
 		in[id] = true
 	}
 	type pc struct {
 		id int
-		c  int32
+		c  uint32
 	}
 	var rest []pc
 	for id := 0; id < ix.n; id++ {
 		if in[id] {
 			continue
 		}
-		var cnt int32
-		if sc.stamp[id] == qid {
-			cnt = sc.counts[id]
-		}
-		rest = append(rest, pc{id, cnt})
+		rest = append(rest, pc{id, max(ct.cells[id], ct.base) - ct.base})
 	}
 	sort.Slice(rest, func(i, j int) bool {
 		if rest[i].c != rest[j].c {
@@ -368,11 +462,12 @@ func (ix *Index) fallback(cands *[]int, sc *queryScratch, qid int32, k int) {
 		return rest[i].id < rest[j].id
 	})
 	for _, e := range rest {
-		if len(*cands) >= k {
+		if len(cands) >= k {
 			break
 		}
-		*cands = append(*cands, e.id)
+		cands = append(cands, e.id)
 	}
+	return cands
 }
 
 func floorDiv(a, b int64) int64 {
