@@ -477,18 +477,21 @@ func (e *Engine) reduce(sc *searchScratch, q []float32, ids []int, cs []candStat
 	return e.reduceMap(q, ids, cs, lut, workers, sc)
 }
 
-// fetchPoint reads point id (this engine's id space) from the point file
-// into the scratch's fetch buffer and feeds the LRU admission path.
-func (e *Engine) fetchPoint(sc *searchScratch, id int) ([]float32, error) {
-	p, err := e.pf.FetchCtx(sc.ctx, id, sc.fetchBuf)
+// locate: the flat scorer reads every candidate from its own point file.
+func (e *Engine) locate(_ *searchScratch, id int) (readLoc, error) {
+	return readLoc{eng: e, local: id}, nil
+}
+
+// admit feeds a successfully read point to the LRU admission path.
+func (e *Engine) admit(sc *searchScratch, loc readLoc, p []float32, err error) ([]float32, error) {
 	if err == nil && e.cfg.Policy == cache.LRU {
-		e.admitLRU(id, p, sc.codes)
+		e.admitLRU(loc.local, p, sc.codes)
 	}
 	return p, err
 }
 
-// readPage is fetchPoint's batch counterpart: every point of ids, all
-// resident on page, in one read.
+// readPage is the batch counterpart of Phase 3's point read: every point of
+// ids, all resident on page, in one read.
 func (e *Engine) readPage(sc *searchScratch, page int, ids []int, pts [][]float32) error {
 	if err := e.pf.FetchOnPageCtx(sc.ctx, page, ids, pts); err != nil {
 		return err

@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+	"time"
+
+	"exploitbit/internal/disk"
 )
 
 // BenchmarkSearch measures one full Algorithm-1 query (generation +
@@ -83,6 +86,41 @@ func BenchmarkEngineSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSearchWaitedIO is the other side of BenchmarkEngineSearch: the
+// paper's regime, where a search waits for its pages. 5 000 points, an HC-O
+// cache of 10 % of the data and a device that delays every page read by
+// 200 µs; reads/op is what the optimal schedule must read and waits/op how
+// often the query actually blocked for it (equal when reads go one at a
+// time — see QueryStats.RefineWaits).
+func BenchmarkSearchWaitedIO(b *testing.B) {
+	w := buildWorld(b, 5000, 32, 204)
+	eng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), Config{
+		Method: HCO, CacheBytes: int64(w.ds.Len()*w.ds.PointSize()) / 10, Tau: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w.pf.SetFaults(disk.NewInjector(disk.FaultPolicy{Rules: []disk.FaultRule{
+		{Kind: disk.FaultLatency, FirstPage: 0, LastPage: -1, Latency: 200 * time.Microsecond},
+	}}))
+	defer w.pf.SetFaults(nil)
+	dst := make([]int, 0, 64)
+	if _, _, err := eng.SearchInto(w.qtest[0], 10, dst[:0]); err != nil {
+		b.Fatal(err)
+	}
+	eng.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if dst, _, err = eng.SearchInto(w.qtest[i%len(w.qtest)], 10, dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	agg := eng.Aggregate()
+	b.ReportMetric(agg.AvgIO(), "reads/op")
+	b.ReportMetric(float64(agg.RefineWaits)/float64(b.N), "waits/op")
 }
 
 // BenchmarkEngineSearchNoLUT is the same path with the lookup table

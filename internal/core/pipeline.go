@@ -11,6 +11,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"exploitbit/internal/multistep"
@@ -54,8 +55,15 @@ type scorer interface {
 	// the eager-fetch ablation's I/O) in sc.st.
 	score(sc *searchScratch, q []float32, ids []int, k int) error
 
-	// fetchPoint reads candidate id's exact vector for Phase 3.
-	fetchPoint(sc *searchScratch, id int) ([]float32, error)
+	// locate and admit are Phase 3's fetch on either side of the read itself
+	// (readSlot.read, the one step that may run concurrently). Both run on the
+	// query's goroutine: locate, at issue time, says where candidate id's
+	// exact vector lives or drops it with multistep.ErrSkipCandidate (its
+	// owner is being served around); admit, in schedule order, settles the
+	// read's outcome (p, err) — cache admission, per-shard charge, a failing
+	// shard — and returns what the refinement loop is to see.
+	locate(sc *searchScratch, id int) (readLoc, error)
+	admit(sc *searchScratch, loc readLoc, p []float32, err error) ([]float32, error)
 
 	// fetchUnit maps a surviving candidate to the unit a batch reads it with
 	// (a data-file page). ok false drops the candidate from the batch: its
@@ -91,6 +99,10 @@ type pipeline struct {
 	// the simulated latency of one page.
 	pagesPer int
 	tio      time.Duration
+
+	// readWait is what the most recent timed refinement read waited for the
+	// device, in nanoseconds — the gate of searchScratch.openWindow.
+	readWait atomic.Int64
 
 	// scratch pools per-query working sets; see searchScratch.
 	scratch sync.Pool
@@ -201,9 +213,10 @@ func (p *pipeline) search(ctx context.Context, q []float32, k int, dst []int, mg
 				sc.exactByID[c.id] = c.exactPt
 			}
 		}
-		refined, _, err := sc.msc.SearchSq(q, sc.mcands, kNeed, sc.fetch, sc.rbuf[:0])
+		sc.openWindow()
+		refined, _, err := sc.msc.SearchSq(q, sc.mcands, kNeed, sc, sc.rbuf[:0])
 		if err != nil {
-			return nil, sc.st, err
+			return nil, sc.st, err // putScratch drains the reads still in flight
 		}
 		sc.rbuf = refined[:0]
 		for _, r := range refined {

@@ -564,17 +564,27 @@ func (se *ShardedEngine) scoreShard(sc *searchScratch, s int, q []float32, gate,
 	return nil
 }
 
-// fetchPoint routes a Phase-3 fetch to the owning shard's file. A candidate
-// owned by a failed shard is dropped from the schedule (degraded mode); a
-// fetch that fails permanently fails its shard the same way.
-func (se *ShardedEngine) fetchPoint(sc *searchScratch, id int) ([]float32, error) {
+// locate routes a Phase-3 read to the owning shard's file. A candidate owned
+// by a failed shard is dropped from the schedule (degraded mode).
+func (se *ShardedEngine) locate(sc *searchScratch, id int) (readLoc, error) {
 	x := sc.scatter
 	s := se.owner[id]
 	if x.failed[s] {
+		return readLoc{}, fmt.Errorf("core: shard %d failed: %w", s, multistep.ErrSkipCandidate)
+	}
+	return readLoc{eng: x.engs[s], local: int(se.local[id]), shard: s}, nil
+}
+
+// admit settles a read against its shard: a read that fails permanently
+// fails the shard, and a read that was already in flight when its shard
+// failed is dropped uncharged whatever it returned — the serial schedule
+// would not have issued it, so only the device's own counters ever saw it.
+func (se *ShardedEngine) admit(sc *searchScratch, loc readLoc, p []float32, err error) ([]float32, error) {
+	x, s := sc.scatter, loc.shard
+	if x.failed[s] {
 		return nil, fmt.Errorf("core: shard %d failed: %w", s, multistep.ErrSkipCandidate)
 	}
-	p, err := x.engs[s].fetchPoint(sc, int(se.local[id]))
-	if err != nil {
+	if p, err = loc.eng.admit(sc, loc, p, err); err != nil {
 		if x.degradedOK && disk.IsPermanent(err) {
 			se.failShard(int(s), sc)
 			return nil, fmt.Errorf("core: shard %d failed (%v): %w", s, err, multistep.ErrSkipCandidate)

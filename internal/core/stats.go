@@ -22,6 +22,14 @@ type QueryStats struct {
 	Remaining  int // C_refine: candidates entering Phase 3
 	Fetched    int // points actually fetched by multi-step refinement
 
+	// RefineWaits counts the device waits refinement served one after another
+	// (× one read's latency ≈ the time Phase 3 spent waiting). Reads taken one
+	// at a time wait once each, RefineWaits == Fetched; under an open window
+	// (multistep.SearchSq) a read the query blocks on counts only if it was
+	// issued after the previous counted wait ended. Single-query searches of
+	// the flat engine and the router report it, per query, not per shard.
+	RefineWaits int
+
 	PageReads   int64         // physical page reads charged during Phase 3
 	SimulatedIO time.Duration // PageReads × Tio
 
@@ -82,6 +90,7 @@ type Aggregate struct {
 	TrueHits    int64
 	Remaining   int64
 	Fetched     int64
+	RefineWaits int64
 	PageReads   int64
 	SimulatedIO time.Duration
 	GenTime     time.Duration
@@ -124,6 +133,7 @@ func (a *Aggregate) Add(s QueryStats) {
 	a.TrueHits += int64(s.TrueHits)
 	a.Remaining += int64(s.Remaining)
 	a.Fetched += int64(s.Fetched)
+	a.RefineWaits += int64(s.RefineWaits)
 	a.PageReads += s.PageReads
 	a.SimulatedIO += s.SimulatedIO
 	a.GenTime += s.GenTime
@@ -150,7 +160,7 @@ func (a *Aggregate) Add(s QueryStats) {
 // writers the snapshot may mix counters from in-flight queries, which is
 // harmless for the ratios and averages Aggregate reports.
 type atomicAggregate struct {
-	queries, candidates, hits, pruned, trueHits, remaining, fetched,
+	queries, candidates, hits, pruned, trueHits, remaining, fetched, refineWaits,
 	pageReads, simulatedIO, genTime, reduceTime, refineTime,
 	lutQueries, parallelQueries, degradedQueries atomic.Int64
 
@@ -187,6 +197,7 @@ func (a *atomicAggregate) Add(s QueryStats) {
 	a.trueHits.Add(int64(s.TrueHits))
 	a.remaining.Add(int64(s.Remaining))
 	a.fetched.Add(int64(s.Fetched))
+	a.refineWaits.Add(int64(s.RefineWaits))
 	a.pageReads.Add(s.PageReads)
 	a.simulatedIO.Add(int64(s.SimulatedIO))
 	a.genTime.Add(int64(s.GenTime))
@@ -217,6 +228,7 @@ func (a *atomicAggregate) Load() Aggregate {
 		TrueHits:        a.trueHits.Load(),
 		Remaining:       a.remaining.Load(),
 		Fetched:         a.fetched.Load(),
+		RefineWaits:     a.refineWaits.Load(),
 		PageReads:       a.pageReads.Load(),
 		SimulatedIO:     time.Duration(a.simulatedIO.Load()),
 		GenTime:         time.Duration(a.genTime.Load()),
@@ -239,6 +251,7 @@ func (a *atomicAggregate) Reset() {
 	a.trueHits.Store(0)
 	a.remaining.Store(0)
 	a.fetched.Store(0)
+	a.refineWaits.Store(0)
 	a.pageReads.Store(0)
 	a.simulatedIO.Store(0)
 	a.genTime.Store(0)

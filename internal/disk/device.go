@@ -149,9 +149,12 @@ func (d *Device) ReadPageCtx(ctx context.Context, n int, buf []byte) error {
 	d.reads.Add(1)
 	rp := d.retry.Load()
 	for attempt := 0; ; attempt++ {
-		err := d.readPageOnce(n, buf)
+		err := d.readPageOnce(ctx, n, buf)
 		if err == nil {
 			return nil
+		}
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			return err // canceled inside an injected delay: not a device fault
 		}
 		var pe *PageError
 		if !errors.As(err, &pe) {
@@ -175,7 +178,7 @@ func (d *Device) ReadPageCtx(ctx context.Context, n int, buf []byte) error {
 
 // readPageOnce is one physical read attempt: fault injection first, then the
 // real ReadAt, with the EOF-only zero-pad rule applied to the outcome.
-func (d *Device) readPageOnce(n int, buf []byte) error {
+func (d *Device) readPageOnce(ctx context.Context, n int, buf []byte) error {
 	off := int64(n) * int64(d.pageSize)
 	if in := d.faults.Load(); in != nil {
 		if r := in.match(n); r != nil {
@@ -195,7 +198,9 @@ func (d *Device) readPageOnce(n int, buf []byte) error {
 				}
 				return &PageError{Page: n, Op: "read", Transient: r.Transient, Err: ErrTornRead}
 			case FaultLatency:
-				time.Sleep(r.Latency)
+				if err := sleepCtx(ctx, r.Latency); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -186,10 +186,15 @@ func (rp RetryPolicy) delay(page, attempt int) time.Duration {
 }
 
 // sleepCtx sleeps for d or until ctx is done, returning ctx.Err() in the
-// latter case — a canceled query stops retrying immediately.
+// latter case — a canceled query stops retrying, or waiting out an injected
+// delay, immediately.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
+	}
+	if ctx.Done() == nil {
+		time.Sleep(d) // never canceled: no timer to allocate
+		return nil
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()

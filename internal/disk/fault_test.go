@@ -290,6 +290,32 @@ func TestFaultLatency(t *testing.T) {
 	}
 }
 
+// TestFaultLatencyHonoursCancel: an injected delay is a wait like any other —
+// a canceled request leaves it at once, with the context's error and without
+// the device booking a fault.
+func TestFaultLatencyHonoursCancel(t *testing.T) {
+	d := faultDevice(t, 2)
+	d.SetFaults(NewInjector(FaultPolicy{Rules: []FaultRule{
+		{Kind: FaultLatency, FirstPage: 0, LastPage: -1, Latency: 5 * time.Second},
+	}}))
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	err := d.ReadPageCtx(ctx, 0, make([]byte, 128))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled delayed read returned %v, want context.Canceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("canceled read slept through the injected delay: %v", elapsed)
+	}
+	if IsPermanent(err) || IsTransient(err) {
+		t.Fatalf("cancellation classified as a device fault: %v", err)
+	}
+	if st := d.Stats(); st.PermanentErrors != 0 || st.TransientErrors != 0 {
+		t.Fatalf("cancellation counted as a device error: %+v", st)
+	}
+}
+
 func TestRetryDelayDeterministicAndBounded(t *testing.T) {
 	rp := RetryPolicy{MaxRetries: 8, Backoff: time.Millisecond, MaxBackoff: 16 * time.Millisecond}.withDefaults()
 	for attempt := 0; attempt < 8; attempt++ {

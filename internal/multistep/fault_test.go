@@ -191,7 +191,7 @@ func TestSearchSkipCandidate(t *testing.T) {
 	}
 
 	var sc Scratch
-	got, fetched, err := sc.SearchSq(q, w.allCandidates(), k, fetch, nil)
+	got, fetched, err := sc.SearchSq(q, w.allCandidates(), k, Fetch(fetch), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSearchSkipCandidate(t *testing.T) {
 		}
 		return inner(id)
 	}
-	got2, _, err := sc.SearchSq(q, w.allCandidates(), k, wrapped, nil)
+	got2, _, err := sc.SearchSq(q, w.allCandidates(), k, Fetch(wrapped), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,26 @@
 // current k-th exact distance is below every unfetched lower bound. That
 // fetch schedule is optimal: no correct algorithm restricted to the same
 // bounds can fetch fewer candidates.
+//
+// The schedule is optimal in reads, not in waiting: taken literally it waits
+// for one read before it asks for the next. SearchSq therefore keeps a window
+// of reads in flight, under an issue rule that generalises the optimal stop.
+// With candidates in ascending lower bound, the next candidate c may be
+// issued while
+//
+//	(reads issued but not yet consumed) + (known exact distances ≤ c.LB) < k
+//
+// and results are consumed — skipped, failed on, or pushed into the top-k —
+// strictly in lower-bound order. The serial schedule reads c exactly when,
+// with every earlier candidate consumed, fewer than k known distances are
+// ≤ c.LB. That count never falls and each consumed read raises it by at most
+// one (vec.TopK.CountLE), so counting every in-flight read as one that will
+// land at or below c.LB bounds the count the serial schedule will see from
+// above: a read the rule issues is a read the serial schedule performs
+// whatever the reads ahead of it return. With nothing in flight the rule is
+// the optimal stop itself, so a window of depth 1 is the serial algorithm, and
+// at every depth the candidates read, their order, the fetch count and the
+// results are the serial schedule's.
 package multistep
 
 import (
@@ -42,6 +62,38 @@ type Candidate struct {
 // Fetch bound to a reusable buffer); every call is one unit of refinement
 // I/O.
 type Fetch func(id int) ([]float32, error)
+
+// Reads is Fetch taken apart so that reads can overlap: SearchSq starts the
+// read of a candidate with Issue and collects it with Await, keeping up to
+// Depth reads issued and not yet awaited. Both are called on the searching
+// goroutine, Await in the order of Issue, so an implementation needs no
+// synchronisation beyond the read itself. Slots are numbered [0, Depth); the
+// vector Await returns only has to stay valid until its slot is issued again.
+// When SearchSq returns an error, reads issued and not yet awaited are the
+// implementation's to finish.
+type Reads interface {
+	// Depth is the largest window the reader supports (capped at MaxDepth);
+	// 1 waits for every read before the next is issued.
+	Depth() int
+	// Issue starts the read of candidate id into slot without waiting for it.
+	Issue(slot, id int)
+	// Await returns what Fetch would have returned for id, the read issued
+	// into slot.
+	Await(slot, id int) ([]float32, error)
+}
+
+// A Fetch is a Reads of depth 1: the read happens when it is awaited.
+func (f Fetch) Depth() int                         { return 1 }
+func (f Fetch) Issue(slot, id int)                 {}
+func (f Fetch) Await(_, id int) ([]float32, error) { return f(id) }
+
+// MaxDepth caps the refinement window. The issue rule limits itself to k
+// reads in flight, but k is the client's. 16 is where the rule settles on
+// its own at k = 10: replayed over the flat_io benchmark log (12.73 reads per
+// query, serial p95 75 sequential waits) the uncapped rule waits 2.78 times
+// per query (p95 8), a cap of 8 waits 2.98 times (p95 10), a cap of 4 waits
+// 4.25 times (p95 19).
+const MaxDepth = 16
 
 // Result is one refined neighbor.
 type Result struct {
@@ -107,9 +159,14 @@ type Scratch struct {
 // monotone on distances, the fetch order, the optimal stop and the selected
 // results are identical to Search's.
 //
+// Reads go through r — a Fetch is one — with up to r.Depth() of them in
+// flight under the issue rule of the package comment: at any depth, in any
+// completion order, the candidates read, their order, the fetch count and the
+// results are the serial schedule's, which is this loop at depth 1.
+//
 // Results are appended to dst (pass dst[:0] to reuse a buffer) in ascending
 // distance order.
-func (sc *Scratch) SearchSq(q []float32, cands []Candidate, k int, fetch Fetch, dst []Result) ([]Result, int, error) {
+func (sc *Scratch) SearchSq(q []float32, cands []Candidate, k int, r Reads, dst []Result) ([]Result, int, error) {
 	if k < 1 {
 		return dst, 0, nil
 	}
@@ -135,14 +192,24 @@ func (sc *Scratch) SearchSq(q []float32, cands []Candidate, k int, fetch Fetch, 
 		sc.top.Reset(k)
 	}
 	top := sc.top
+	depth := min(max(r.Depth(), 1), MaxDepth)
 	fetched := 0
-	for _, c := range order {
-		// Optimal stop: every remaining candidate has LB >= this one's, so
-		// none can improve the current k-th squared distance.
-		if top.Full() && c.LB >= top.Root() {
+	// order[head:tail] is issued and not yet consumed; candidate i uses slot
+	// i mod depth.
+	head, tail := 0, 0
+	for {
+		for tail < len(order) && tail-head < depth && mayIssue(top, order[tail].LB, tail-head, k) {
+			r.Issue(tail%depth, order[tail].ID)
+			tail++
+		}
+		if head == tail {
+			// Nothing in flight and nothing issued: the list is exhausted or
+			// the optimal stop holds.
 			break
 		}
-		p, err := fetch(c.ID)
+		c := order[head]
+		p, err := r.Await(head%depth, c.ID)
+		head++
 		if err != nil {
 			if errors.Is(err, ErrSkipCandidate) {
 				continue
@@ -157,6 +224,18 @@ func (sc *Scratch) SearchSq(q []float32, cands []Candidate, k int, fetch Fetch, 
 		dst = append(dst, Result{ID: ids[i], Dist: math.Sqrt(sqDists[i])})
 	}
 	return dst, fetched, nil
+}
+
+// mayIssue is the issue rule: the candidate with lower bound lb, next in
+// ascending order, may be read while inflight reads are issued and not yet
+// consumed. Its first test is the optimal stop — every remaining candidate
+// has a lower bound ≥ lb, so none can improve the current k-th squared
+// distance — and with nothing in flight it is the whole rule.
+func mayIssue(top *vec.TopK, lb float64, inflight, k int) bool {
+	if top.Full() && lb >= top.Root() {
+		return false
+	}
+	return inflight == 0 || inflight+top.CountLE(lb) < k
 }
 
 // KthSmallest returns the k-th smallest value of xs (1-based), or +Inf when

@@ -53,6 +53,20 @@ func (t *TopK) Root() float64 {
 	return t.dists[0]
 }
 
+// CountLE reports how many held distances are ≤ x. The count never falls
+// and a Push raises it by at most one — a full heap only ever trades its
+// largest entry for a smaller one — which is what lets the refinement window
+// bound the count at a later time by the count now plus the reads in flight.
+func (t *TopK) CountLE(x float64) int {
+	n := 0
+	for _, d := range t.dists {
+		if d <= x {
+			n++
+		}
+	}
+	return n
+}
+
 // Push offers (dist, id). It is a no-op when the heap is full and dist is
 // not smaller than the current root.
 func (t *TopK) Push(dist float64, id int) {
