@@ -81,7 +81,7 @@ func contrib(qj, l, u float64) (loSq, upSq float64) {
 // the same order, keeping the split paths bitwise-identical to contrib.
 func contribLo(qj, l, u float64) (loSq float64) {
 	dl, du := qj-l, u-qj // distances to the near edges (sign-aware)
-	if dl < 0 { // q left of interval
+	if dl < 0 {          // q left of interval
 		return dl * dl
 	}
 	if du < 0 { // q right of interval

@@ -369,6 +369,51 @@ func TestProfileInternals(t *testing.T) {
 	}
 }
 
+// TestQRPointsMatchesReference: the four-wide QR scoring returns the points
+// one Dist at a time returns, in the same order, for every cache content —
+// none, all, a CachedSet prefix of the HFF ranking, and every other id
+// (candidate lists whose eligible run is not a multiple of four).
+func TestQRPointsMatchesReference(t *testing.T) {
+	w := buildWorld(t, 800, 9, 14)
+	p := w.prof
+	reference := func(cached func(id int) bool) [][]float32 {
+		var qr [][]float32
+		for qi, q := range p.WL {
+			top := vec.NewTopK(p.K)
+			for _, id := range p.CandSets[qi] {
+				if cached != nil && !cached(int(id)) {
+					continue
+				}
+				top.Push(vec.Dist(q, p.DS.Point(int(id))), int(id))
+			}
+			ids, _ := top.Results()
+			for _, id := range ids {
+				qr = append(qr, p.DS.Point(id))
+			}
+		}
+		return qr
+	}
+	for name, cached := range map[string]func(int) bool{
+		"all":        nil,
+		"none":       CachedSet(nil),
+		"hff-prefix": CachedSet(p.HFFContent(len(p.Ranked) / 3)),
+		"odd":        func(id int) bool { return id%2 == 1 },
+	} {
+		got, want := p.QRPoints(cached), reference(cached)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d QR points, reference %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if &got[i][0] != &want[i][0] {
+				t.Fatalf("%s: QR point %d differs from the reference", name, i)
+			}
+		}
+	}
+	if in := CachedSet([]int{3, 0}); !in(0) || in(1) || !in(3) || in(4) || in(-1) {
+		t.Fatal("CachedSet membership wrong")
+	}
+}
+
 func TestZipfWorkloadCacheable(t *testing.T) {
 	// Sanity for the whole premise: with a Zipf workload, a cache holding
 	// 25% of distinct candidates should serve well over 25% of lookups.

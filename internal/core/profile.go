@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"exploitbit/internal/cache"
@@ -92,16 +93,32 @@ func (p *Profile) FreqSorted() []int {
 // capacity decision, and by tree-index construction).
 func (p *Profile) QRPoints(cached func(id int) bool) [][]float32 {
 	var qr [][]float32
+	var ids []int32 // the eligible candidates of one query
+	top := vec.NewTopK(p.K)
 	for qi, q := range p.WL {
-		top := vec.NewTopK(p.K)
+		ids = ids[:0]
 		for _, id := range p.CandSets[qi] {
-			if cached != nil && !cached(int(id)) {
-				continue
+			if cached == nil || cached(int(id)) {
+				ids = append(ids, id)
 			}
+		}
+		// Four distances at a time, pushed in candidate order: the same
+		// distances pushed in the same order as one Dist at a time.
+		top.Reset(p.K)
+		i := 0
+		for ; i+4 <= len(ids); i += 4 {
+			c := ids[i : i+4]
+			d0, d1, d2, d3 := vec.SqDist4(q, p.DS.Point(int(c[0])), p.DS.Point(int(c[1])), p.DS.Point(int(c[2])), p.DS.Point(int(c[3])))
+			top.Push(math.Sqrt(d0), int(c[0]))
+			top.Push(math.Sqrt(d1), int(c[1]))
+			top.Push(math.Sqrt(d2), int(c[2]))
+			top.Push(math.Sqrt(d3), int(c[3]))
+		}
+		for _, id := range ids[i:] {
 			top.Push(vec.Dist(q, p.DS.Point(int(id))), int(id))
 		}
-		ids, _ := top.Results()
-		for _, id := range ids {
+		res, _ := top.Drain()
+		for _, id := range res {
 			qr = append(qr, p.DS.Point(id))
 		}
 	}
@@ -117,13 +134,18 @@ func (p *Profile) HFFContent(capacity int) []int {
 	return p.Ranked[:capacity]
 }
 
-// CachedSet builds a membership predicate over an id list.
+// CachedSet builds a membership predicate over a list of non-negative ids,
+// one bool per id up to the largest.
 func CachedSet(ids []int) func(id int) bool {
-	set := make(map[int]bool, len(ids))
+	n := 0
+	for _, id := range ids {
+		n = max(n, id+1)
+	}
+	set := make([]bool, n)
 	for _, id := range ids {
 		set[id] = true
 	}
-	return func(id int) bool { return set[id] }
+	return func(id int) bool { return uint(id) < uint(len(set)) && set[id] }
 }
 
 // TopCandidates returns, for diagnostics and Figure 2 style plots, the

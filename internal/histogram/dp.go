@@ -27,12 +27,24 @@ type dpResult struct {
 // already exceeds the best OPT(n,m) found — valid because cost is monotone
 // in the bucket width (Lemma 3) and OPT(t,m-1) >= 0. This is the paper's key
 // construction-time optimization; the ablation bench toggles it.
+//
+// It pays only for what its output needs. At b >= ndom the answer is the
+// all-singletons partition, returned before any table is allocated, and the
+// n <= m cells (the first n values as singletons) are read off one prefix
+// sum instead of each re-summing cost(t,t) from 0. Both give the full
+// table's partition and value bit for bit: the same additions in the same
+// order.
 func optimalPartition(ndom, b int, cost intervalCost, cutoff bool) dpResult {
-	if b > ndom {
-		b = ndom
+	if b >= ndom {
+		return singletons(ndom, cost)
 	}
 	if b < 1 {
 		b = 1
+	}
+	// diag[n] = Σ_{t<n} cost(t,t), added left to right.
+	diag := make([]float64, ndom+1)
+	for t := 0; t < ndom; t++ {
+		diag[t+1] = diag[t] + cost(t, t)
 	}
 	// opt[m][n] = minimal metric covering the first n values (0..n-1) with
 	// at most m buckets; pos[m][n] = best split t (prefix length of the
@@ -52,11 +64,7 @@ func optimalPartition(ndom, b int, cost intervalCost, cutoff bool) dpResult {
 				// Enough buckets for singletons: metric contribution is
 				// width 0 per bucket for Υ, and 0 deviation for SSE only if
 				// singleton; cost(l,l) handles both.
-				var v float64
-				for t := 0; t < n; t++ {
-					v += cost(t, t)
-				}
-				opt[m][n] = v
+				opt[m][n] = diag[n]
 				pos[m][n] = int32(n - 1)
 				continue
 			}
@@ -94,6 +102,18 @@ func optimalPartition(ndom, b int, cost intervalCost, cutoff bool) dpResult {
 	return dpResult{uppers: uppers, value: opt[b][ndom]}
 }
 
+// singletons is the partition at b >= ndom, one bucket per value, its value
+// Σ cost(t,t) added left to right as the table's diagonal adds it.
+func singletons(ndom int, cost intervalCost) dpResult {
+	uppers := make([]int, ndom)
+	var v float64
+	for t := range uppers {
+		uppers[t] = t
+		v += cost(t, t)
+	}
+	return dpResult{uppers: uppers, value: v}
+}
+
 // prefixSums returns S with S[i] = Σ_{x<i} f[x].
 func prefixSums(f []float64) []float64 {
 	s := make([]float64, len(f)+1)
@@ -123,7 +143,7 @@ func KNNOptimal(fprime []float64, b int) *Histogram {
 // KNNOptimalWith is KNNOptimal with explicit options.
 func KNNOptimalWith(fprime []float64, b int, opt KNNOptimalOptions) *Histogram {
 	ndom := len(fprime)
-	var cost intervalCost
+	cost := upsilonCost(fprime)
 	if opt.NaiveUpsilon {
 		cost = func(lo, hi int) float64 {
 			var sum float64
@@ -132,12 +152,6 @@ func KNNOptimalWith(fprime []float64, b int, opt KNNOptimalOptions) *Histogram {
 			}
 			w := float64(hi - lo)
 			return sum * w * w
-		}
-	} else {
-		s := prefixSums(fprime)
-		cost = func(lo, hi int) float64 {
-			w := float64(hi - lo)
-			return (s[hi+1] - s[lo]) * w * w
 		}
 	}
 	res := optimalPartition(ndom, b, cost, !opt.DisableCutoff)
@@ -148,17 +162,24 @@ func KNNOptimalWith(fprime []float64, b int, opt KNNOptimalOptions) *Histogram {
 	return h
 }
 
-// VOptimal builds the classical V-optimal histogram (HC-V) minimizing the
-// SSE metric of Jagadish et al. over the data frequency array freq.
-func VOptimal(freq []float64, b int) *Histogram {
-	ndom := len(freq)
+// upsilonCost is Υ of Eqn 4 over F′, one prefix-sum difference per bucket.
+func upsilonCost(fprime []float64) intervalCost {
+	s := prefixSums(fprime)
+	return func(lo, hi int) float64 {
+		w := float64(hi - lo)
+		return (s[hi+1] - s[lo]) * w * w
+	}
+}
+
+// sseCost is a bucket's sum of squared deviations from its mean frequency.
+func sseCost(freq []float64) intervalCost {
 	s := prefixSums(freq)
-	sq := make([]float64, ndom)
+	sq := make([]float64, len(freq))
 	for i, v := range freq {
 		sq[i] = v * v
 	}
 	s2 := prefixSums(sq)
-	cost := func(lo, hi int) float64 {
+	return func(lo, hi int) float64 {
 		n := float64(hi - lo + 1)
 		sum := s[hi+1] - s[lo]
 		sumSq := s2[hi+1] - s2[lo]
@@ -168,8 +189,13 @@ func VOptimal(freq []float64, b int) *Histogram {
 		}
 		return sse
 	}
-	res := optimalPartition(ndom, b, cost, true)
-	h, err := FromUppers(ndom, res.uppers)
+}
+
+// VOptimal builds the classical V-optimal histogram (HC-V) minimizing the
+// SSE metric of Jagadish et al. over the data frequency array freq.
+func VOptimal(freq []float64, b int) *Histogram {
+	res := optimalPartition(len(freq), b, sseCost(freq), true)
+	h, err := FromUppers(len(freq), res.uppers)
 	if err != nil {
 		panic("histogram: internal V-optimal error: " + err.Error())
 	}

@@ -20,11 +20,20 @@ func benchFreq(ndom int, hot float64) []float64 {
 
 // BenchmarkKNNOptimal is the full Algorithm 2 run at the library defaults
 // (Ndom=1024, B=256) — the offline cost that Table 3 reports.
-func BenchmarkKNNOptimal1024x256(b *testing.B) {
+func BenchmarkKNNOptimal1024x256(b *testing.B) { benchKNNOptimal(b, 256, KNNOptimalOptions{}) }
+
+// BenchmarkKNNOptimal1024x512 is τ = 9: 511 rows of the full scan.
+func BenchmarkKNNOptimal1024x512(b *testing.B) { benchKNNOptimal(b, 512, KNNOptimalOptions{}) }
+
+// BenchmarkKNNOptimal1024x1024 is τ = 10, B = Ndom: the all-singletons
+// partition, which costs one pass over the domain.
+func BenchmarkKNNOptimal1024x1024(b *testing.B) { benchKNNOptimal(b, 1024, KNNOptimalOptions{}) }
+
+func benchKNNOptimal(b *testing.B, buckets int, opt KNNOptimalOptions) {
 	f := benchFreq(1024, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KNNOptimal(f, 256)
+		KNNOptimalWith(f, buckets, opt)
 	}
 }
 

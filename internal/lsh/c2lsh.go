@@ -158,24 +158,40 @@ func Build(ds *dataset.Dataset, p Params) *Index {
 		ix.bias[i] = rng.Float64() * w
 	}
 
-	// Hash every point under every function; sort per function.
+	// Hash every point under every function, the point widened once; then
+	// sort each function's values. sort.Slice is not stable: equal values
+	// keep the reference build's order only because buf gets the same
+	// (value, id) sequence, filled in id order, as that build gave it
+	// (TestProjectMatchesPerFunction). Keep both the fill order and the sort.
+	for h := range ix.vals {
+		ix.vals[h] = make([]int64, n)
+	}
+	pf := make([]float64, dim)
+	pv := make([]int64, m)
+	for i := 0; i < n; i++ {
+		for j, v := range ds.Point(i) {
+			pf[j] = float64(v)
+		}
+		ix.project(pf, pv)
+		for h, v := range pv {
+			ix.vals[h][i] = v
+		}
+	}
 	type vi struct {
 		v  int64
 		id int32
 	}
 	buf := make([]vi, n)
-	for h := 0; h < m; h++ {
-		a := ix.proj[h*dim : (h+1)*dim]
-		for i := 0; i < n; i++ {
-			buf[i] = vi{v: ix.hashWith(a, ix.bias[h], ds.Point(i)), id: int32(i)}
+	for h, vs := range ix.vals {
+		for i, v := range vs {
+			buf[i] = vi{v: v, id: int32(i)}
 		}
 		sort.Slice(buf, func(x, y int) bool { return buf[x].v < buf[y].v })
-		vs := make([]int64, n)
 		is := make([]int32, n)
 		for i, e := range buf {
 			vs[i], is[i] = e.v, e.id
 		}
-		ix.vals[h], ix.ids[h] = vs, is
+		ix.ids[h] = is
 	}
 	return ix
 }
@@ -214,12 +230,42 @@ func meanNNDistance(ds *dataset.Dataset, rng *rand.Rand) float64 {
 	return sum / float64(cnt)
 }
 
-func (ix *Index) hashWith(a []float64, b float64, p []float32) int64 {
-	var dot float64
-	for j, v := range p {
-		dot += a[j] * float64(v)
+// project writes the hash of x (a point or query widened to float64) under
+// every function into out: ⌊(a_h·x + b_h) / w⌋. Points and queries hash
+// through this one function, so a query lands in the bucket Build put an equal
+// point in. Four functions' dot products run side by side — four independent
+// add chains instead of one — each still summed in dimension order; the
+// m mod 4 functions left over run one at a time in the same order.
+func (ix *Index) project(x []float64, out []int64) {
+	dim, h := len(x), 0
+	for ; h+4 <= len(out); h += 4 {
+		a := ix.proj[h*dim : (h+4)*dim]
+		a0, a1, a2, a3 := a[:dim], a[dim:][:dim], a[2*dim:][:dim], a[3*dim:][:dim]
+		var d0, d1, d2, d3 float64
+		for j, v := range x {
+			d0 += a0[j] * v
+			d1 += a1[j] * v
+			d2 += a2[j] * v
+			d3 += a3[j] * v
+		}
+		out[h] = ix.bucket(h, d0)
+		out[h+1] = ix.bucket(h+1, d1)
+		out[h+2] = ix.bucket(h+2, d2)
+		out[h+3] = ix.bucket(h+3, d3)
 	}
-	return int64(math.Floor((dot + b) / ix.w))
+	for ; h < len(out); h++ {
+		a := ix.proj[h*dim : (h+1)*dim]
+		var d float64
+		for j, v := range x {
+			d += a[j] * v
+		}
+		out[h] = ix.bucket(h, d)
+	}
+}
+
+// bucket quantizes function h's dot product into its hash value.
+func (ix *Index) bucket(h int, dot float64) int64 {
+	return int64(math.Floor((dot + ix.bias[h]) / ix.w))
 }
 
 // M returns the number of hash functions in use.
@@ -294,16 +340,10 @@ func (ix *Index) candidates(sc *queryScratch, dst []int, q []float32, k int) Res
 	for j, v := range q {
 		sc.qf[j] = float64(v)
 	}
-	for h := range qv {
-		// Same summation order as hashWith, so every floor lands in the
-		// bucket Build put the point in.
-		var dot float64
-		for j, a := range ix.proj[h*ix.dim : (h+1)*ix.dim] {
-			dot += a * sc.qf[j]
-		}
-		qv[h] = int64(math.Floor((dot + ix.bias[h]) / ix.w))
+	ix.project(sc.qf, qv)
+	for h, v := range qv {
 		// Window [lo, hi) of positions counted so far: empty, at q's bucket.
-		lo[h] = lowerBound(ix.vals[h], qv[h])
+		lo[h] = lowerBound(ix.vals[h], v)
 		hi[h] = lo[h]
 	}
 

@@ -15,6 +15,36 @@ func BenchmarkBuild5000x150(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild25000x150 is the index build at the benchmark's scale
+// (benchmark/fixture.go): 25 000 points hashed under m = 96 functions, then
+// 96 sorts.
+func BenchmarkBuild25000x150(b *testing.B) {
+	ds := dataset.NUSWideLike(25000, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Build(ds, Params{Seed: 2})
+	}
+}
+
+// BenchmarkProject is one query hashed under all m = 96 functions — the
+// first step of every Phase 1.
+func BenchmarkProject(b *testing.B) {
+	ds := dataset.Generate(dataset.Config{Name: "b", N: 5000, Dim: 150, Clusters: 20, Seed: 1})
+	ix := Build(ds, Params{Seed: 2})
+	if ix.M() != 96 {
+		b.Fatalf("m = %d, want 96", ix.M())
+	}
+	x, out := make([]float64, ix.dim), make([]int64, ix.m)
+	for j, v := range ds.Point(7) {
+		x[j] = float64(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.project(x, out)
+	}
+}
+
 // BenchmarkCandidates measures Phase 1 cost per query (collision counting
 // with virtual rehashing).
 func BenchmarkCandidates5000x150(b *testing.B) {

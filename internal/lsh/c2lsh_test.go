@@ -213,6 +213,97 @@ func TestVirtualRehashingWindowsGrow(t *testing.T) {
 	}
 }
 
+// hashWith is the per-function oracle of project: one function's hash of p,
+// the dot product summed in dimension order on one add chain — the loop Build
+// and the query path each ran before they shared project.
+func (ix *Index) hashWith(a []float64, b float64, p []float32) int64 {
+	var dot float64
+	for j, v := range p {
+		dot += a[j] * float64(v)
+	}
+	return int64(math.Floor((dot + b) / ix.w))
+}
+
+// referenceTables is the sorted hash tables as Build made them before
+// project: function by function, every point hashed by hashWith, then the
+// same sort.Slice over (value, id) pairs filled in id order.
+func referenceTables(ix *Index, ds *dataset.Dataset) ([][]int64, [][]int32) {
+	type vi struct {
+		v  int64
+		id int32
+	}
+	vals, ids := make([][]int64, ix.m), make([][]int32, ix.m)
+	buf := make([]vi, ix.n)
+	for h := 0; h < ix.m; h++ {
+		a := ix.proj[h*ix.dim : (h+1)*ix.dim]
+		for i := range buf {
+			buf[i] = vi{v: ix.hashWith(a, ix.bias[h], ds.Point(i)), id: int32(i)}
+		}
+		sort.Slice(buf, func(x, y int) bool { return buf[x].v < buf[y].v })
+		vals[h], ids[h] = make([]int64, ix.n), make([]int32, ix.n)
+		for i, e := range buf {
+			vals[h][i], ids[h][i] = e.v, e.id
+		}
+	}
+	return vals, ids
+}
+
+// TestProjectMatchesPerFunction holds the four-wide kernel to hashWith for
+// every function, over m with every remainder mod 4 and dims from 1 to 960,
+// at queries inside the data's range, at its edges and far outside (hash
+// values of both signs and large magnitude). Then the tables Build sorts from
+// project's hashes must be the reference build's — every value and every id,
+// ties in the same order — on a small corpus with long tie runs and on the
+// benchmark's 25 000-point one.
+func TestProjectMatchesPerFunction(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, m := range []int{8, 9, 10, 11, 96, 97, 320} {
+		for _, dim := range []int{1, 7, 150, 960} {
+			ix := &Index{dim: dim, m: m, w: 0.05 + rng.Float64(), proj: make([]float64, m*dim), bias: make([]float64, m)}
+			for i := range ix.proj {
+				ix.proj[i] = rng.NormFloat64()
+			}
+			for h := range ix.bias {
+				ix.bias[h] = rng.Float64() * ix.w
+			}
+			x, got := make([]float64, dim), make([]int64, m)
+			for qi, scale := range []float64{0, 1, 1, 1e-3, 40, -900, 1e6} {
+				q := make([]float32, dim)
+				for j := range q {
+					switch qi {
+					case 0: // the domain's lower edge
+					case 1: // its upper edge
+						q[j] = 1
+					default:
+						q[j] = float32(rng.Float64() * scale)
+					}
+					x[j] = float64(q[j])
+				}
+				ix.project(x, got)
+				for h, v := range got {
+					if want := ix.hashWith(ix.proj[h*dim:(h+1)*dim], ix.bias[h], q); v != want {
+						t.Fatalf("m=%d dim=%d query %d: function %d hashes to %d, oracle %d", m, dim, qi, h, v, want)
+					}
+				}
+			}
+		}
+	}
+
+	corpora := map[string]*dataset.Dataset{"dup": matchDS(3000, 16, 5, true)}
+	if !testing.Short() {
+		corpora["NUSWideLike"] = dataset.NUSWideLike(25000, 1)
+	}
+	for name, ds := range corpora {
+		ix := Build(ds, Params{Seed: 2})
+		vals, ids := referenceTables(ix, ds)
+		for h := range vals {
+			if !slices.Equal(ix.vals[h], vals[h]) || !slices.Equal(ix.ids[h], ids[h]) {
+				t.Fatalf("%s: function %d of %d: table differs from the reference build", name, h, ix.m)
+			}
+		}
+	}
+}
+
 // refScratch is the collision-counting state of referenceCandidates: the
 // stamp/count pair the index used before the fused cell.
 type refScratch struct {

@@ -28,6 +28,30 @@ func SqDist(a, b []float32) float64 {
 	return s
 }
 
+// SqDist4 returns the squared Euclidean distances from q to a, b, c and d:
+// four SqDist sums run side by side, each added in SqDist's dimension order,
+// so each equals its SqDist bit for bit. It panics if any dimensionality
+// differs from q's.
+func SqDist4(q, a, b, c, d []float32) (sa, sb, sc, sd float64) {
+	n := len(q)
+	if len(a) != n || len(b) != n || len(c) != n || len(d) != n {
+		panic(fmt.Sprintf("vec: dimension mismatch %d vs %d/%d/%d/%d", n, len(a), len(b), len(c), len(d)))
+	}
+	a, b, c, d = a[:n], b[:n], c[:n], d[:n]
+	for i, v := range q {
+		x := float64(v)
+		da := x - float64(a[i])
+		db := x - float64(b[i])
+		dc := x - float64(c[i])
+		dd := x - float64(d[i])
+		sa += da * da
+		sb += db * db
+		sc += dc * dc
+		sd += dd * dd
+	}
+	return sa, sb, sc, sd
+}
+
 // Dist returns the Euclidean distance between a and b (Definition 2).
 func Dist(a, b []float32) float64 {
 	return math.Sqrt(SqDist(a, b))

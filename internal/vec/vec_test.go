@@ -31,6 +31,39 @@ func TestDistPaperExample(t *testing.T) {
 	}
 }
 
+// TestSqDist4MatchesSqDist: each of SqDist4's four sums is SqDist's, bit for
+// bit, at dims around and far past the unrolled width, over coordinates of
+// mixed scale and sign.
+func TestSqDist4MatchesSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	point := func(dim int, scale float64) []float32 {
+		p := make([]float32, dim)
+		for j := range p {
+			p[j] = float32(rng.NormFloat64() * scale)
+		}
+		return p
+	}
+	for _, dim := range []int{0, 1, 3, 7, 150, 960} {
+		for trial := 0; trial < 50; trial++ {
+			q := point(dim, 1)
+			ps := [4][]float32{point(dim, 1e-3), point(dim, 1), point(dim, 1e3), q}
+			got := [4]float64{}
+			got[0], got[1], got[2], got[3] = SqDist4(q, ps[0], ps[1], ps[2], ps[3])
+			for i, p := range ps {
+				if want := SqDist(q, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("dim %d trial %d: sum %d is %v, SqDist %v", dim, trial, i, got[i], want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on dimension mismatch")
+		}
+	}()
+	SqDist4([]float32{1, 2}, []float32{1, 2}, []float32{1, 2}, []float32{1}, []float32{1, 2})
+}
+
 func TestDistDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
