@@ -79,6 +79,4 @@ func BenchmarkAblation_PrefixSums(b *testing.B)          { runExperiment(b, "abl
 func BenchmarkAblation_TrueResultDetection(b *testing.B) { runExperiment(b, "abl-truehit") }
 func BenchmarkAblation_BitPacking(b *testing.B)          { runExperiment(b, "abl-bitpack") }
 func BenchmarkAblation_EagerFetch(b *testing.B)          { runExperiment(b, "abl-eagerfetch") }
-func BenchmarkExtension_VAPlus(b *testing.B)             { runExperiment(b, "ext-vaplus") }
-func BenchmarkExtension_KNNJoin(b *testing.B)            { runExperiment(b, "ext-join") }
 func BenchmarkExtension_Maintenance(b *testing.B)        { runExperiment(b, "ext-maintain") }

@@ -290,8 +290,7 @@ func (c *Cache[V]) pushFront(e *entry[V]) {
 	c.sentinel.next = e
 }
 
-// Keys returns the cached item ids in ascending order (for snapshots and
-// diagnostics).
+// Keys returns the cached item ids in ascending order (for diagnostics).
 func (c *Cache[V]) Keys() []int {
 	if c.policy == LRU {
 		c.mu.RLock()

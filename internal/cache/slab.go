@@ -117,8 +117,8 @@ func (s *Slab) Words(slot int32) []uint64 {
 // arena[i*Stride() : (i+1)*Stride()]. The arena is immutable.
 func (s *Slab) Arena() []uint64 { return s.arena }
 
-// Keys returns the cached ids in ascending order (snapshot/diagnostic parity
-// with Cache.Keys).
+// Keys returns the cached ids in ascending order (diagnostic parity with
+// Cache.Keys).
 func (s *Slab) Keys() []int {
 	keys := make([]int, len(s.ids))
 	for i, id := range s.ids {
@@ -223,16 +223,6 @@ func (v *VarSlab) Peek(key int) ([]uint64, bool) {
 		return nil, false
 	}
 	return v.arena[v.offs[slot]:v.offs[slot+1]], true
-}
-
-// Keys returns the cached keys in ascending order.
-func (v *VarSlab) Keys() []int {
-	keys := make([]int, len(v.ids))
-	for i, id := range v.ids {
-		keys[i] = int(id)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // Stats returns a snapshot of hit/miss counters.

@@ -130,58 +130,6 @@ func TestSearchBatchMatchesPerQueryCachedMethods(t *testing.T) {
 	}
 }
 
-// TestTreeSearchBatchCoalescesAndMatchesPerQuery is the tree-engine variant
-// of the acceptance criterion: leaf loads of Phase 3 coalesce across the
-// batch; results are identical to per-query SearchCtx (the batch scheduler
-// replays each query's exact per-query schedule against a shared leaf
-// cache, so identity holds even under distance ties).
-func TestTreeSearchBatchCoalescesAndMatchesPerQuery(t *testing.T) {
-	w := buildTreeWorld(t, "idistance", 1200, 10, 33)
-	eng, err := NewTreeEngine(w.ds, w.ix, w.store, w.wl, 10, TreeConfig{
-		Method: HCO, CacheBytes: 256 << 10, Tau: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 5
-	batch := overlappingBatch(w.qtest, 8)
-
-	soloIDs := make([][]int, len(batch))
-	var soloReads int64
-	for j, q := range batch {
-		ids, st, err := eng.SearchCtx(context.Background(), q, k, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		soloIDs[j] = ids
-		soloReads += st.PageReads
-	}
-	gotIDs, sts, err := eng.SearchBatch(context.Background(), batch, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batchReads int64
-	for _, st := range sts {
-		batchReads += st.PageReads
-	}
-	if soloReads == 0 {
-		t.Fatal("degenerate workload: per-query tree searches performed no reads")
-	}
-	if batchReads >= soloReads {
-		t.Fatalf("coalesced tree batch read %d pages, per-query sum is %d — want strictly fewer", batchReads, soloReads)
-	}
-	for j := range batch {
-		if len(gotIDs[j]) != len(soloIDs[j]) {
-			t.Fatalf("query %d: batch returned %d ids, per-query %d", j, len(gotIDs[j]), len(soloIDs[j]))
-		}
-		for i := range soloIDs[j] {
-			if gotIDs[j][i] != soloIDs[j][i] {
-				t.Fatalf("query %d rank %d: batch id %d, per-query id %d", j, i, gotIDs[j][i], soloIDs[j][i])
-			}
-		}
-	}
-}
-
 // TestMaintainerSearchBatch: the maintained batch answers match per-query
 // searches through the same router, and every member is folded into the
 // drift windows of the slots that served it.
@@ -233,16 +181,5 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	cancel()
 	if _, _, err := eng.SearchBatch(ctx, w.qtest[:2], 5, nil); err == nil {
 		t.Fatal("canceled context not surfaced")
-	}
-	tw := buildTreeWorld(t, "vptree", 600, 8, 36)
-	te, err := NewTreeEngine(tw.ds, tw.ix, tw.store, tw.wl, 10, TreeConfig{Method: HCO, CacheBytes: 128 << 10, Tau: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ids, sts, err := te.SearchBatch(context.Background(), nil, 5); err != nil || ids != nil || sts != nil {
-		t.Fatalf("empty tree batch: %v %v %v", ids, sts, err)
-	}
-	if _, _, err := te.SearchBatch(ctx, tw.qtest[:2], 5); err == nil {
-		t.Fatal("canceled context not surfaced by tree batch")
 	}
 }

@@ -199,7 +199,7 @@ func newModel(prof *Profile, cfg Config) (e *Engine, content []int, capacity int
 		if partial {
 			tau = 1
 		}
-		e.cfg.Tau = tau // record the budget-derived τ (snapshots rely on it)
+		e.cfg.Tau = tau // record the budget-derived τ
 		e.codec = encoding.NewCodec(ds.Dim, tau)
 		b := histogram.MaxBucketsForCodeLen(tau, dom.Ndom)
 		start := time.Now()
@@ -317,7 +317,7 @@ func (c Config) slabLayout() bool {
 
 // finalize installs the derived fast-path state, plugs the engine into its
 // pipeline as the flat scorer over cands, and arms the scratch pools. Every
-// construction path — NewEngine, shard engines, snapshot load — ends here.
+// construction path — NewEngine and the shard engines — ends here.
 func (e *Engine) finalize(cands CandidateFunc) {
 	if e.table != nil {
 		e.lutBuckets = e.table.Buckets()

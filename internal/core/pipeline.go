@@ -294,11 +294,8 @@ func (p *pipeline) searchBatch(ctx context.Context, qs [][]float32, k int, mg *M
 				unitIDs[u] = append(unitIDs[u], c.id)
 			}
 		}
-		// OwnOnly: a page holds arbitrary points; only this query's own
-		// candidates carry bounds for it, so only they may enter its top-k.
 		items[j] = multistep.BatchQuery{
-			Q: qs[j], Seeds: seeds, Pending: pending,
-			K: k - sc.st.TrueHits, OwnOnly: true,
+			Q: qs[j], Seeds: seeds, Pending: pending, K: k - sc.st.TrueHits,
 		}
 	}
 

@@ -101,8 +101,8 @@ func SingleShard(pf *disk.PointFile, ds *dataset.Dataset) (specs []ShardSpec, ow
 
 // newRouter validates a shard layout and assembles the router around it —
 // id maps, units without engines, fetch-unit offsets, scratch pool. Every
-// construction path (NewShardedEngine, LoadShardedEngine, refold) starts
-// here and then installs one engine per unit.
+// construction path (NewShardedEngine, refold) starts here and then
+// installs one engine per unit.
 func newRouter(specs []ShardSpec, owner, local []int32, cands CandidateFunc) (*ShardedEngine, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: sharded engine needs at least one shard")

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -251,61 +250,5 @@ func TestShardedAggregatesAttribution(t *testing.T) {
 	if sumPruned != g.Pruned || sumTrue != g.TrueHits || sumRem != g.Remaining {
 		t.Fatalf("shard partition sums (pruned %d true %d rem %d) != global (%d %d %d)",
 			sumPruned, sumTrue, sumRem, g.Pruned, g.TrueHits, g.Remaining)
-	}
-}
-
-// TestShardedSnapshotRoundTrip saves a sharded engine as a version-2
-// snapshot and reloads it over the same layout; the reload must serve
-// bit-identically. Cross-loading v1/v2 through the wrong entry point must
-// fail with a descriptive error.
-func TestShardedSnapshotRoundTrip(t *testing.T) {
-	w := buildWorld(t, 1100, 16, 6)
-	for _, m := range []Method{HCO, Exact, MHCR} {
-		cfg := Config{Method: m, CacheBytes: 64 << 10, Tau: 6}
-		specs, owner, local := buildShardSpecs(t, w, 3, shard.Clustered)
-		se, err := NewShardedEngine(specs, owner, local, w.prof, candFunc(w.ix), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := se.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadEngine(w.pf, w.ds, candFunc(w.ix), bytes.NewReader(buf.Bytes())); err == nil {
-			t.Fatal("LoadEngine accepted a sharded (v2) snapshot")
-		}
-		loaded, err := LoadShardedEngine(specs, owner, local, candFunc(w.ix), bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		for qi, q := range w.qtest {
-			wantIDs, wantSt, err := se.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotIDs, gotSt, err := loaded.Search(q, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameIDs(wantIDs, gotIDs) {
-				t.Fatalf("%s q%d: loaded ids %v != %v", m, qi, gotIDs, wantIDs)
-			}
-			if d := diffStats(wantSt, gotSt); d != "" {
-				t.Fatalf("%s q%d: loaded stats differ: %s", m, qi, d)
-			}
-		}
-
-		// A v1 snapshot through the sharded loader must also fail clearly.
-		var v1 bytes.Buffer
-		eng, err := NewEngine(w.pf, w.prof, candFunc(w.ix), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.WriteSnapshot(&v1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadShardedEngine(specs, owner, local, candFunc(w.ix), bytes.NewReader(v1.Bytes())); err == nil {
-			t.Fatal("LoadShardedEngine accepted a single-engine (v1) snapshot")
-		}
 	}
 }

@@ -99,7 +99,7 @@ func TestSlabEquivalenceEagerBuildsMap(t *testing.T) {
 
 // TestSlabKeysMatchMap pins the admitted cache content itself: the slab must
 // hold exactly the ids the map-backed FillHFF admits, in the same Keys()
-// order (ascending), so snapshots written from either layout are identical.
+// order (ascending), so either layout caches the same content.
 func TestSlabKeysMatchMap(t *testing.T) {
 	w := buildWorld(t, 1000, 10, 78)
 	cfg := Config{Method: HCO, CacheBytes: 48 << 10, Tau: 7}

@@ -368,8 +368,7 @@ func (e *TreeEngine) SearchInto(q []float32, k int, dst []int) ([]int, QueryStat
 // uncached-leaf loads, lb_k/ub_k partition) for one query on scratch sc.
 // True-hit identifiers are appended to dst; the surviving candidates are
 // split into sc.seeds (exact distance in hand) and sc.pend (leaf-resident,
-// to be refined). Both the single-query search and the batch pipeline start
-// here.
+// to be refined).
 func (e *TreeEngine) phase12(ctx context.Context, sc *treeScratch, q []float32, k int, dst []int) ([]int, error) {
 	st := &sc.st
 

@@ -178,7 +178,8 @@ func Open(cfg Config, rec *RecoverResult) (*Live, error) {
 // Insert admits one point: the vector is copied, clamped into the dataset's
 // value domain (out-of-domain coordinates land on boundary buckets, so HFF
 // codes stay valid and bounds conservative), logged, and added to the delta
-// index. Returns the point's permanent identifier.
+// index. Returns the point's permanent identifier, or ErrWALFailed once the
+// log has failed.
 func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 	if l.closed.Load() {
 		return 0, fmt.Errorf("ingest: closed")
@@ -209,7 +210,8 @@ func (l *Live) Insert(ctx context.Context, v []float32) (int, error) {
 
 // Delete tombstones a point. Idempotent: deleting an already deleted point
 // succeeds without touching the WAL. Deleting an identifier no insert ever
-// produced fails with ErrUnknownID.
+// produced fails with ErrUnknownID; any delete that needs the log fails with
+// ErrWALFailed once the log has failed.
 func (l *Live) Delete(ctx context.Context, id int) error {
 	if l.closed.Load() {
 		return fmt.Errorf("ingest: closed")

@@ -8,6 +8,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -123,6 +124,26 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
+// ErrWALFailed marks a write refused because an earlier WAL write, sync or
+// rotation failed. The log is fail-stop: a failed fsync cannot be retried
+// safely (the kernel may have dropped the dirty pages), and truncating a torn
+// frame is a second write that can fail too, so after the first failure the
+// WAL refuses every append without touching the file. A restart's Recover
+// truncates the torn tail, if any, and replays exactly what reached the log.
+var ErrWALFailed = errors.New("ingest: wal failed")
+
+// segmentIO writes and syncs the active segment file. The WAL uses the file's
+// own methods; tests substitute it to inject a short write or a failed sync.
+type segmentIO interface {
+	write(f *os.File, b []byte) (int, error)
+	sync(f *os.File) error
+}
+
+type fileIO struct{}
+
+func (fileIO) write(f *os.File, b []byte) (int, error) { return f.Write(b) }
+func (fileIO) sync(f *os.File) error                   { return f.Sync() }
+
 // WAL is an append-only write-ahead log over numbered segment files. Appends
 // are serialized internally; Rotate seals the active segment (so a checkpoint
 // can cover it) and starts the next one.
@@ -131,10 +152,12 @@ type WAL struct {
 	dim  int
 	mode FsyncMode
 
-	mu  sync.Mutex
-	f   *os.File
-	seq uint64 // active segment
-	buf []byte
+	mu     sync.Mutex
+	f      *os.File
+	io     segmentIO
+	seq    uint64 // active segment
+	buf    []byte
+	failed error // the first write, sync or rotation failure, wrapped in ErrWALFailed
 
 	// Written under mu, read by Stats without it.
 	liveBytes atomic.Int64 // bytes across every retained segment, active included
@@ -163,7 +186,7 @@ func OpenWAL(dir string, dim int, startSeq uint64, mode FsyncMode) (*WAL, error)
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, dim: dim, mode: mode}
+	w := &WAL{dir: dir, dim: dim, mode: mode, io: fileIO{}}
 	for _, seq := range seqs {
 		if seq >= startSeq {
 			return nil, fmt.Errorf("ingest: segment %s already exists at or past start sequence %d", segmentName(seq), startSeq)
@@ -194,12 +217,12 @@ func (w *WAL) openSegment(seq uint64) error {
 	le.PutUint32(hdr[4:], walVersion)
 	le.PutUint32(hdr[8:], uint32(w.dim))
 	le.PutUint32(hdr[12:], 0)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := w.io.write(f, hdr); err != nil {
 		f.Close()
 		return fmt.Errorf("ingest: write segment header: %w", err)
 	}
 	if w.mode == FsyncAlways {
-		if err := f.Sync(); err != nil {
+		if err := w.io.sync(f); err != nil {
 			f.Close()
 			return fmt.Errorf("ingest: sync segment header: %w", err)
 		}
@@ -258,6 +281,9 @@ func (w *WAL) payloadBuf(n int) []byte {
 // appendLocked frames payload (which must alias w.buf[8:]) and writes the
 // record to the active segment. Caller holds w.mu.
 func (w *WAL) appendLocked(payload []byte) error {
+	if w.failed != nil {
+		return w.failed
+	}
 	if w.f == nil {
 		return fmt.Errorf("ingest: wal is closed")
 	}
@@ -265,16 +291,23 @@ func (w *WAL) appendLocked(payload []byte) error {
 	le := binary.LittleEndian
 	le.PutUint32(rec[0:], uint32(len(payload)))
 	le.PutUint32(rec[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(rec); err != nil {
-		return fmt.Errorf("ingest: append wal record: %w", err)
+	if _, err := w.io.write(w.f, rec); err != nil {
+		return w.fail(fmt.Errorf("append wal record: %w", err))
 	}
 	if w.mode == FsyncAlways {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("ingest: sync wal record: %w", err)
+		if err := w.io.sync(w.f); err != nil {
+			return w.fail(fmt.Errorf("sync wal record: %w", err))
 		}
 	}
 	w.liveBytes.Add(int64(len(rec)))
 	return nil
+}
+
+// fail poisons the WAL with its first failure and returns the error every
+// later append and Rotate returns. Caller holds w.mu.
+func (w *WAL) fail(err error) error {
+	w.failed = fmt.Errorf("%w: %w", ErrWALFailed, err)
+	return w.failed
 }
 
 // Rotate seals the active segment and starts the next one, returning the
@@ -284,19 +317,22 @@ func (w *WAL) appendLocked(payload []byte) error {
 func (w *WAL) Rotate() (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
 	if w.f == nil {
 		return 0, fmt.Errorf("ingest: wal is closed")
 	}
-	if err := w.f.Sync(); err != nil {
-		return 0, fmt.Errorf("ingest: sync on rotate: %w", err)
+	if err := w.io.sync(w.f); err != nil {
+		return 0, w.fail(fmt.Errorf("sync on rotate: %w", err))
 	}
 	if err := w.f.Close(); err != nil {
-		return 0, fmt.Errorf("ingest: close on rotate: %w", err)
+		return 0, w.fail(fmt.Errorf("close on rotate: %w", err))
 	}
 	sealed := w.seq
 	w.f = nil
 	if err := w.openSegment(sealed + 1); err != nil {
-		return 0, err
+		return 0, w.fail(err)
 	}
 	return sealed, nil
 }

@@ -3,22 +3,23 @@
 // have surviving candidates on overlapping data-file pages (qwLSH's
 // observation for LSH workloads); refining them independently reads those
 // pages once per query. SearchBatchSq instead drives every query's own
-// optimal schedule against a shared unit cache: a fetch unit (data page or
-// tree leaf) is read from disk the first time any query's schedule demands
-// it and served from memory for every later demand, so the batch's total
+// optimal schedule against a shared unit cache: a fetch unit (a data page)
+// is read from disk the first time any query's schedule demands it and
+// served from memory for every later demand, so the batch's total
 // refinement I/O is the union — not the sum — of the per-query fetch sets.
 //
 // Correctness: each query processes its own candidates in ascending
-// (LBSq, ID) order under its own stop rule, and a unit's contents are
-// distributed to a query only when that query's cursor reaches one of its
-// members — exactly when the per-query SearchGroupsSq would have loaded it.
-// Every query therefore pushes exactly the distances it would push when
-// searched alone, in the same order, and terminates independently at the
-// same point; only the number of physical reads changes. The global
-// schedule fetches the unit whose best unprocessed member has the smallest
-// (LBSq, ID) among all still-running queries, so a page is fetched exactly
-// when its best member's lower bound beats some query's current k-th
-// distance — per-query optimality is preserved, never weakened, by sharing.
+// (LBSq, ID) order under its own stop rule, and a unit is distributed to a
+// query only when that query's cursor reaches one of its members — and then
+// only the query's own Pending members: a page holds arbitrary points, and
+// only this query's candidates carry bounds for it. Every query therefore
+// pushes exactly the distances it would push when searched alone, in the
+// same order, and terminates independently at the same point; only the
+// number of physical reads changes. The global schedule fetches the unit
+// whose best unprocessed member has the smallest (LBSq, ID) among all
+// still-running queries, so a page is fetched exactly when its best member's
+// lower bound beats some query's current k-th distance — per-query
+// optimality is preserved, never weakened, by sharing.
 package multistep
 
 import (
@@ -40,19 +41,11 @@ type BatchQuery struct {
 	// unit loads, at zero I/O cost.
 	Seeds []GroupCandidate
 	// Pending are candidates to be resolved by loading their fetch unit
-	// (Group: a data-file page for the flat engine, a leaf for the tree).
+	// (Group: the data-file page holding the point). Only these identifiers
+	// of a loaded unit enter the query's selection.
 	Pending []GroupCandidate
 	// K is how many neighbors this query still needs (k minus true hits).
 	K int
-	// Skip are identifiers already declared results (true hits): excluded
-	// from the selection even when a loaded unit contains them.
-	Skip map[int32]bool
-	// OwnOnly restricts distribution to the query's own Pending identifiers.
-	// The flat engine sets it: a page holds arbitrary points, and only this
-	// query's candidates carry bounds for it. The tree engine leaves it
-	// false: every resident of a visited leaf is a candidate, so the whole
-	// leaf feeds the selection, exactly as in SearchGroupsSq.
-	OwnOnly bool
 }
 
 // BatchFetch reads one fetch unit from disk, returning the identifiers and
@@ -67,7 +60,7 @@ type batchItem struct {
 	order     []GroupCandidate // own candidates, ascending (LBSq, ID)
 	cur       int              // next unprocessed candidate in order
 	top       *vec.TopK
-	own       map[int32]bool // Pending ids, when OwnOnly
+	own       map[int32]bool // Pending ids
 	processed map[int32]bool // units already distributed to this query
 	done      bool
 }
@@ -105,9 +98,8 @@ type cachedUnit struct {
 // SearchBatchSq refines a batch of queries to their k nearest, reading each
 // fetch unit at most once. It returns one ascending-distance result slice
 // per query (square roots taken only here) and the number of unit loads.
-// Each query's results are identical to what SearchGroupsSq (or SearchSq
-// with page-granular units) would return for it alone; see the package
-// comment for the argument.
+// Each query's results are identical to what the single-query refinement
+// would return for it alone; see the package comment for the argument.
 func SearchBatchSq(items []BatchQuery, fetch BatchFetch) ([][]Result, int, error) {
 	states := make([]batchItem, len(items))
 	for j := range items {
@@ -125,11 +117,9 @@ func SearchBatchSq(items []BatchQuery, fetch BatchFetch) ([][]Result, int, error
 		copy(it.order, q.Pending)
 		slices.SortFunc(it.order, compareGroupCandidates)
 		it.processed = make(map[int32]bool)
-		if q.OwnOnly {
-			it.own = make(map[int32]bool, len(q.Pending))
-			for _, c := range q.Pending {
-				it.own[c.ID] = true
-			}
+		it.own = make(map[int32]bool, len(q.Pending))
+		for _, c := range q.Pending {
+			it.own[c.ID] = true
 		}
 	}
 
@@ -176,10 +166,7 @@ func SearchBatchSq(items []BatchQuery, fetch BatchFetch) ([][]Result, int, error
 		}
 		q := &items[best]
 		for i, id := range u.ids {
-			if q.Skip[id] {
-				continue
-			}
-			if it.own != nil && !it.own[id] {
+			if !it.own[id] {
 				continue
 			}
 			it.top.Push(vec.SqDist(q.Q, u.pts[i]), int(id))

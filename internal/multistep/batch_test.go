@@ -64,23 +64,28 @@ func (w *batchWorld) batchFetch(loads *int) BatchFetch {
 	}
 }
 
-// groupFetchFor adapts the world to the per-query GroupFetch for query q.
-func (w *batchWorld) groupFetchFor(q []float32, loads *int) GroupFetch {
+// ownGroupFetchFor adapts the world to the per-query GroupFetch for query q
+// under own-only distribution: a loaded group yields only the identifiers
+// in own, with their exact squared distances to q.
+func (w *batchWorld) ownGroupFetchFor(q []float32, own map[int32]bool, loads *int) GroupFetch {
 	return func(g int32) ([]int32, []float64, error) {
 		*loads++
-		ids := w.ids[g]
-		sq := make([]float64, len(ids))
-		for i, id := range ids {
-			sq[i] = vec.SqDist(q, w.pts[id])
+		var ids []int32
+		var sq []float64
+		for _, id := range w.ids[g] {
+			if own[id] {
+				ids = append(ids, id)
+				sq = append(sq, vec.SqDist(q, w.pts[id]))
+			}
 		}
 		return ids, sq, nil
 	}
 }
 
-// TestSearchBatchSqMatchesPerQuery runs random tree-style batches
-// (OwnOnly=false) and checks that every query's batch results are identical
-// to its solo SearchGroupsSq results, while total unit loads never exceed —
-// and with shared candidates undercut — the per-query sum.
+// TestSearchBatchSqMatchesPerQuery runs random batches with seeds and
+// overlapping pending sets, and checks that every query's batch results are
+// identical to its solo SearchGroupsSq results over the same own-only
+// groups, while total unit loads never exceed the per-query sum.
 func TestSearchBatchSqMatchesPerQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 30; trial++ {
@@ -89,10 +94,11 @@ func TestSearchBatchSqMatchesPerQuery(t *testing.T) {
 		k := 1 + rng.Intn(6)
 
 		items := make([]BatchQuery, nq)
+		owns := make([]map[int32]bool, nq)
 		for j := range items {
 			q := w.randQuery(rng)
 			var seeds, pending []GroupCandidate
-			skip := map[int32]bool{}
+			own := map[int32]bool{}
 			nextSeed := int32(100000 + 1000*j)
 			for id := range w.pts {
 				switch rng.Intn(4) {
@@ -102,13 +108,11 @@ func TestSearchBatchSqMatchesPerQuery(t *testing.T) {
 				case 1, 2:
 					d2 := vec.SqDist(q, w.pts[id])
 					pending = append(pending, GroupCandidate{ID: id, Group: w.group[id], LBSq: d2 * rng.Float64()})
-				default:
-					if rng.Intn(5) == 0 {
-						skip[id] = true
-					}
+					own[id] = true
 				}
 			}
-			items[j] = BatchQuery{Q: q, Seeds: seeds, Pending: pending, K: k, Skip: skip}
+			items[j] = BatchQuery{Q: q, Seeds: seeds, Pending: pending, K: k}
+			owns[j] = own
 		}
 
 		batchLoads := 0
@@ -123,12 +127,10 @@ func TestSearchBatchSqMatchesPerQuery(t *testing.T) {
 		soloSum := 0
 		for j, it := range items {
 			var sc Scratch
-			soloLoads := 0
-			want, _, err := sc.SearchGroupsSq(it.Seeds, it.Pending, it.K, it.Skip, w.groupFetchFor(it.Q, &soloLoads), nil)
+			want, _, err := sc.SearchGroupsSq(it.Seeds, it.Pending, it.K, nil, w.ownGroupFetchFor(it.Q, owns[j], &soloSum), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			soloSum += soloLoads
 			if len(got[j]) != len(want) {
 				t.Fatalf("trial %d query %d: %d results, want %d", trial, j, len(got[j]), len(want))
 			}
@@ -148,8 +150,8 @@ func TestSearchBatchSqMatchesPerQuery(t *testing.T) {
 }
 
 // TestSearchBatchSqCoalesces floods every query with zero-lower-bound
-// candidates over every unit: solo searches each read every unit, the batch
-// reads each unit exactly once.
+// candidates over every unit: each query refined alone (a one-item batch)
+// reads every unit, the batch reads each unit exactly once.
 func TestSearchBatchSqCoalesces(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	const nGroups, nq = 5, 4
@@ -175,8 +177,7 @@ func TestSearchBatchSqCoalesces(t *testing.T) {
 	}
 	soloSum := 0
 	for _, it := range items {
-		var sc Scratch
-		if _, _, err := sc.SearchGroupsSq(it.Seeds, it.Pending, it.K, it.Skip, w.groupFetchFor(it.Q, &soloSum), nil); err != nil {
+		if _, _, err := SearchBatchSq([]BatchQuery{it}, w.batchFetch(&soloSum)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,10 +186,10 @@ func TestSearchBatchSqCoalesces(t *testing.T) {
 	}
 }
 
-// TestSearchBatchSqOwnOnly checks the flat-engine mode: distribution is
-// restricted to a query's own pending identifiers, so a shared page never
-// leaks another query's points into the selection, and the k results are
-// the k smallest exact distances among the query's own candidates.
+// TestSearchBatchSqOwnOnly checks the distribution rule: a loaded unit feeds
+// only a query's own pending identifiers, so a shared page never leaks
+// another query's points into the selection, and the k results are the k
+// smallest exact distances among the query's own candidates.
 func TestSearchBatchSqOwnOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 30; trial++ {
@@ -210,7 +211,7 @@ func TestSearchBatchSqOwnOnly(t *testing.T) {
 				pending = append(pending, GroupCandidate{ID: id, Group: w.group[id], LBSq: d2 * rng.Float64()})
 				elig[id] = d2
 			}
-			items[j] = BatchQuery{Q: q, Pending: pending, K: k, OwnOnly: true}
+			items[j] = BatchQuery{Q: q, Pending: pending, K: k}
 			ownIDs[j] = elig
 		}
 

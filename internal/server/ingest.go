@@ -24,6 +24,11 @@ import (
 // sentinel to this one (errors.Is).
 var ErrUnknownID = errors.New("server: unknown point id")
 
+// ErrWALFailed marks a write refused because the write-ahead log has failed
+// stop; the handler answers 503 wal_failed, and searches keep serving.
+// Implementations wrap or translate their own sentinel to this one.
+var ErrWALFailed = errors.New("server: write-ahead log failed")
+
 // Ingestor is the optional write capability, detected on the Searcher by New
 // like BatchSearcher: durable insert and delete against the live system.
 // Insert returns the point's permanent identifier.
@@ -111,8 +116,7 @@ func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id, err := h.ingestor.Insert(r.Context(), req.Vector)
 	if err != nil {
-		h.writeErrs.Add(1)
-		h.fail(w, http.StatusInternalServerError, "insert failed: %v", err)
+		h.writeFailed(w, "insert", err)
 		return
 	}
 	h.inserts.Add(1)
@@ -139,8 +143,7 @@ func (h *Handler) handleDelete(w http.ResponseWriter, r *http.Request) {
 			h.fail(w, http.StatusNotFound, "unknown id %d", *req.ID)
 			return
 		}
-		h.writeErrs.Add(1)
-		h.fail(w, http.StatusInternalServerError, "delete failed: %v", err)
+		h.writeFailed(w, "delete", err)
 		return
 	}
 	h.deletes.Add(1)
@@ -178,4 +181,16 @@ func (h *Handler) ingestMetrics(rep *IngestStats) *ingestMetrics {
 		m.IngestStats = *rep
 	}
 	return m
+}
+
+// writeFailed answers a write the Ingestor refused: 503 wal_failed once the
+// log has failed stop (no write can succeed before a restart recovers it),
+// 500 for any other failure.
+func (h *Handler) writeFailed(w http.ResponseWriter, op string, err error) {
+	h.writeErrs.Add(1)
+	if errors.Is(err, ErrWALFailed) {
+		h.fail(w, http.StatusServiceUnavailable, "wal_failed: %s refused: %v", op, err)
+		return
+	}
+	h.fail(w, http.StatusInternalServerError, "%s failed: %v", op, err)
 }

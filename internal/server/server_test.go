@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -786,5 +787,46 @@ func TestWritesShareTheAdmissionGate(t *testing.T) {
 	}
 	if m["in_flight"].(float64) != 0 {
 		t.Fatalf("in_flight = %v after the drain", m["in_flight"])
+	}
+}
+
+// failedLogSearcher is a live deployment whose write-ahead log has failed
+// stop: every write is refused, searches still answer.
+type failedLogSearcher struct{ fakeSearcher }
+
+func (s *failedLogSearcher) Insert(ctx context.Context, vec []float32) (int, error) {
+	return 0, fmt.Errorf("%w: sync wal record: input/output error", ErrWALFailed)
+}
+
+func (s *failedLogSearcher) Delete(ctx context.Context, id int) error {
+	return fmt.Errorf("%w: sync wal record: input/output error", ErrWALFailed)
+}
+
+// TestWALFailureAnswers503: a write the failed log refuses answers 503
+// wal_failed and counts as a write error, and /search keeps answering 200.
+func TestWALFailureAnswers503(t *testing.T) {
+	srv := httptest.NewServer(New(&failedLogSearcher{}, Config{Dim: 3}))
+	defer srv.Close()
+	for _, c := range []struct{ path, body string }{
+		{"/insert", `{"vector":[1,2,3]}`},
+		{"/delete", `{"id":0}`},
+	} {
+		resp, err := http.Post(srv.URL+c.path, "application/json", bytes.NewReader([]byte(c.body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out errorResponse
+		json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.HasPrefix(out.Error, "wal_failed:") {
+			t.Fatalf("%s after the log failed = %d %q, want 503 wal_failed", c.path, resp.StatusCode, out.Error)
+		}
+	}
+	if resp, _ := post(t, srv, `{"vector":[1,2,3],"k":2}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search after the log failed = %d, want 200", resp.StatusCode)
+	}
+	ing := getJSON(t, srv, "/metrics")["ingest"].(map[string]any)
+	if ing["write_errors"].(float64) != 2 {
+		t.Fatalf("write_errors = %v, want 2", ing["write_errors"])
 	}
 }

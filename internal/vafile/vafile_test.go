@@ -144,116 +144,3 @@ func TestKMinTracksKthSmallest(t *testing.T) {
 		t.Fatal("empty kMin should report 0")
 	}
 }
-
-func TestPlusCandidatesContainTrueKNN(t *testing.T) {
-	ds := testDS(700, 16, 31)
-	ix, err := BuildPlus(ds, PlusParams{TotalBits: 96})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 20; trial++ {
-		q := ds.Point(rng.Intn(ds.Len()))
-		k := 1 + rng.Intn(8)
-		res := ix.Candidates(q, k)
-		in := make(map[int]bool, len(res.IDs))
-		for _, id := range res.IDs {
-			in[id] = true
-		}
-		top := vec.NewTopK(k)
-		for i := 0; i < ds.Len(); i++ {
-			top.Push(vec.Dist(q, ds.Point(i)), i)
-		}
-		ids, dists := top.Results()
-		for r, id := range ids {
-			if !in[id] {
-				ok := false
-				for _, cid := range res.IDs {
-					if vec.Dist(q, ds.Point(cid)) <= dists[r]+1e-5 {
-						ok = true
-						break
-					}
-				}
-				if !ok {
-					t.Fatalf("trial %d: true neighbor %d missing", trial, id)
-				}
-			}
-		}
-		if !sort.Float64sAreSorted(res.LBs) {
-			t.Fatal("candidates not sorted by lb")
-		}
-	}
-}
-
-func TestPlusBitAllocationFollowsVariance(t *testing.T) {
-	// Anisotropic data: after KLT the leading dimensions carry the variance
-	// and must receive (weakly) more bits.
-	rng := rand.New(rand.NewSource(33))
-	n, d := 600, 10
-	data := make([]float32, n*d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			scale := 0.01 * float32(1+j%2)
-			if j < 2 {
-				scale = 0.5
-			}
-			data[i*d+j] = 0.5 + float32(rng.NormFloat64())*scale
-		}
-	}
-	ds := dataset.New("aniso", d, data, vecDomainFor())
-	ix, err := BuildPlus(ds, PlusParams{TotalBits: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bits := ix.Bits()
-	total := 0
-	for j := 1; j < d; j++ {
-		if bits[j] > bits[j-1] {
-			t.Fatalf("bit allocation not descending with eigen-variance: %v", bits)
-		}
-		total += bits[j]
-	}
-	total += bits[0]
-	if total != 40 {
-		t.Fatalf("allocated %d bits, want 40", total)
-	}
-	if bits[0] < 4 {
-		t.Fatalf("leading dimension got only %d bits: %v", bits[0], bits)
-	}
-}
-
-func TestPlusBeatsPlainVAFileAtEqualBits(t *testing.T) {
-	// On anisotropic data VA+ should filter more aggressively than the
-	// plain equi-bit VA-file at the same total budget.
-	rng := rand.New(rand.NewSource(34))
-	n, d := 900, 12
-	data := make([]float32, n*d)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			scale := float32(0.02)
-			if j < 3 {
-				scale = 0.4
-			}
-			data[i*d+j] = 0.5 + float32(rng.NormFloat64())*scale
-		}
-	}
-	ds := dataset.New("aniso", d, data, vecDomainFor())
-	plain := Build(ds, Params{BitsPerDim: 4}) // 48 bits/point
-	plus, err := BuildPlus(ds, PlusParams{TotalBits: 4 * d})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nPlain, nPlus int
-	for trial := 0; trial < 15; trial++ {
-		q := ds.Point(rng.Intn(ds.Len()))
-		nPlain += len(plain.Candidates(q, 10).IDs)
-		nPlus += len(plus.Candidates(q, 10).IDs)
-	}
-	if nPlus >= nPlain {
-		t.Fatalf("VA+ kept %d candidates vs plain %d at equal bits", nPlus, nPlain)
-	}
-}
-
-func vecDomainFor() (dom vecDom) { return vec.NewDomain(-5, 5, 256) }
-
-type vecDom = vec.Domain

@@ -60,6 +60,10 @@ var ParseFsyncMode = ingest.ParseFsyncMode
 // ErrUnknownID marks a delete of an identifier no insert ever produced.
 var ErrUnknownID = ingest.ErrUnknownID
 
+// ErrWALFailed marks a write refused because an earlier write-ahead log
+// write, sync or rotation failed: the log is fail-stop until a restart.
+var ErrWALFailed = ingest.ErrWALFailed
+
 // LiveOptions configures the live write path.
 type LiveOptions struct {
 	// WalDir is the write-ahead log directory (segments + checkpoint).
@@ -160,14 +164,7 @@ func OpenLive(ds *Dataset, wl [][]float32, opt Options, cfg core.Config, mopt Ma
 		icfg.Compactor = m
 		icfg.PF = sys.PF
 		icfg.BuildCands = func(fds *dataset.Dataset) core.CandidateFunc {
-			cands, err := buildCandidates(fds, sys.opt)
-			if err != nil {
-				// Construction already validated Options.Index; only an
-				// index-build failure over the fold lands here, and a nil
-				// CandidateFunc fails the rebuild cleanly.
-				return nil
-			}
-			return cands
+			return buildCandidates(fds, sys.opt)
 		}
 	}
 	live, err := ingest.Open(icfg, rec)
@@ -236,14 +233,23 @@ func ServeLive(ls *LiveSystem, opt ServeOptions) http.Handler {
 type servedLive struct{ served }
 
 func (sl servedLive) Insert(ctx context.Context, vec []float32) (int, error) {
-	return sl.ls.Insert(ctx, vec)
+	id, err := sl.ls.Insert(ctx, vec)
+	return id, walErr(err)
 }
 
-// Delete translates the ingest sentinel to the server's 404.
+// Delete translates the ingest sentinels to the server's 404 and 503.
 func (sl servedLive) Delete(ctx context.Context, id int) error {
 	err := sl.ls.Delete(ctx, id)
 	if errors.Is(err, ingest.ErrUnknownID) {
 		return fmt.Errorf("%w (id %d)", server.ErrUnknownID, id)
+	}
+	return walErr(err)
+}
+
+// walErr translates the ingest fail-stop sentinel to the server's 503.
+func walErr(err error) error {
+	if errors.Is(err, ingest.ErrWALFailed) {
+		return fmt.Errorf("%w: %w", server.ErrWALFailed, err)
 	}
 	return err
 }

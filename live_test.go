@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"exploitbit/internal/core"
+	"exploitbit/internal/server"
 )
 
 func liveFixture(t *testing.T, walDir string, lopt LiveOptions) (*LiveSystem, *Dataset, [][]float32) {
@@ -608,4 +610,21 @@ func TestLiveSharded(t *testing.T) {
 		t.Fatalf("shard writes %v: %d inserts %d deletes, want 13 and 1", stats.ShardWrites, ins, del)
 	}
 	_ = qtest
+}
+
+// TestWALFailureTranslatesTo503: the served live system hands the ingest
+// fail-stop sentinel to the handler as the server's, which answers 503
+// wal_failed; other errors pass through untouched.
+func TestWALFailureTranslatesTo503(t *testing.T) {
+	failed := fmt.Errorf("%w: sync wal record: input/output error", ErrWALFailed)
+	if err := walErr(failed); !errors.Is(err, server.ErrWALFailed) || !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("walErr(%v) = %v, want both sentinels", failed, err)
+	}
+	other := errors.New("ingest: closed")
+	if err := walErr(other); err != other {
+		t.Fatalf("walErr(%v) = %v, want it unchanged", other, err)
+	}
+	if walErr(nil) != nil {
+		t.Fatal("walErr(nil) != nil")
+	}
 }

@@ -1,7 +1,6 @@
 package exploitbit
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -77,42 +76,6 @@ func TestShardedFacadeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedFacadeSnapshot round-trips a sharded engine through the
-// public Save/Load pair and checks the reload serves identically.
-func TestShardedFacadeSnapshot(t *testing.T) {
-	_, sys, qtest := shardedPair(t, 3, RoundRobin)
-	se, err := sys.ShardedEngine(HCO, 32<<10, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := SaveShardedEngine(se, &buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := sys.LoadShardedEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range qtest[:5] {
-		a, sa, err := se.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, sb, err := loaded.Search(q, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) || sa.Fetched != sb.Fetched || sa.PageReads != sb.PageReads {
-			t.Fatalf("loaded sharded engine diverged: %v/%v", a, b)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("loaded sharded engine diverged at rank %d: %d != %d", i, b[i], a[i])
-			}
-		}
-	}
-}
-
 // TestShardedFacadeMaintained exercises the maintained path through the
 // facade at one unit and at a real partition: searches serve, a forced
 // rebuild lands, stats reflect it.
@@ -164,8 +127,5 @@ func TestShardedFacadeErrors(t *testing.T) {
 	defer sys.Close()
 	if _, err := sys.ShardedEngine(HCO, 32<<10, 6); err == nil {
 		t.Fatal("ShardedEngine worked without Options.Shards")
-	}
-	if _, err := sys.LoadShardedEngine(bytes.NewReader(nil)); err == nil {
-		t.Fatal("LoadShardedEngine worked without Options.Shards")
 	}
 }
